@@ -29,6 +29,8 @@ from coinwalk.core import (
     build_coin_matrix,
     build_initial_state,
     check_state,
+    coin_matrices,
+    evolve,
     evolve_ordered,
     step,
 )
@@ -60,8 +62,10 @@ __all__ = [
     "CoinParams",
     "InitialStateParams",
     "WalkState",
+    "coin_matrices",
     "build_coin_matrix",
     "build_initial_state",
+    "evolve",
     "step",
     "evolve_ordered",
     "check_state",

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coinwalk.core import (
-    InitialStateParams,
-    WalkState,
-    build_coin_matrix,
-    build_initial_state,
-    step,
-)
+from coinwalk.core import InitialStateParams, WalkState, build_initial_state, coin_matrices, evolve
 from coinwalk.disorder import DisorderSpec, sample_schedule
 from coinwalk.errors import InvalidParameterError, NormDriftError
 
@@ -250,18 +244,16 @@ def run_ensemble(
     final_variances = np.empty(realizations, dtype=np.float64)
     per_step = np.zeros(steps + 1, dtype=np.float64) if track_per_step else None
 
+    def record_variance(t: int, a: np.ndarray) -> None:
+        p = (a.real * a.real + a.imag * a.imag).sum(axis=0)
+        per_step[t] += _moments(p, positions)[1]
+
+    observe = record_variance if track_per_step else None
     for r in range(realizations):
         schedule = sample_schedule(spec, steps, master_seed, r)
-        state = build_initial_state(initial, t_max=steps)
-        if track_per_step:
-            for i, entry in enumerate(schedule.entries, start=1):
-                state = step(state, build_coin_matrix(entry))
-                a = state.amplitudes
-                p = (a.real * a.real + a.imag * a.imag).sum(axis=0)
-                per_step[i] += _moments(p, positions)[1]
-        else:
-            for entry in schedule.entries:
-                state = step(state, build_coin_matrix(entry))
+        state = evolve(
+            build_initial_state(initial, t_max=steps), coin_matrices(schedule.params), observe
+        )
         dist = distribution_from_state(state)
         mean_p += dist.p
         final_variances[r] = variance(dist)

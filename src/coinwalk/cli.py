@@ -81,16 +81,6 @@ class ExperimentConfig:
     format: str
     recipe: str | None
 
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise UsageError(f"steps must be >= 1, got {self.steps}")
-        if self.realizations < 1:
-            raise UsageError(f"realizations must be >= 1, got {self.realizations}")
-        if self.format not in ("csv", "json"):
-            raise UsageError(f"format must be csv or json, got {self.format!r}")
-        if self.recipe is not None and self.recipe not in RECIPE_NAMES:
-            raise UsageError(f"recipe must be one of {RECIPE_NAMES}, got {self.recipe!r}")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -154,6 +144,13 @@ def _parse_range(flag: str, text: str) -> ParameterRange:
         return ParameterRange(low, high)
     except WalkError as exc:
         raise UsageError(f"{flag}: {exc}") from None
+
+
+def _exact_int(flag: str, value) -> int:
+    # int() would truncate a config file's 2.9 and turn its true into 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{flag} must be an integer, got {value!r}")
+    return value
 
 
 def _load_config_file(path: str) -> dict:
@@ -222,10 +219,10 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     if out is None:
         raise UsageError("--out is required")
 
+    steps = _exact_int("--steps", pick("steps"))
+    realizations = _exact_int("--realizations", pick("realizations"))
+    master_seed = _exact_int("--seed", pick("seed"))
     try:
-        steps = int(pick("steps"))
-        realizations = int(pick("realizations"))
-        master_seed = int(pick("seed"))
         delta = float(pick("delta"))
         phi = float(pick("phi"))
     except (TypeError, ValueError) as exc:
@@ -234,6 +231,9 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         raise UsageError(f"--steps must be >= 1, got {steps}")
     if realizations < 1:
         raise UsageError(f"--realizations must be >= 1, got {realizations}")
+    # the seed mixer works mod 2**64, so a larger seed would alias a smaller one
+    if not 0 <= master_seed < 2**64:
+        raise UsageError(f"--seed must lie in [0, 2**64), got {master_seed}")
 
     fmt = str(pick("format"))
     if fmt not in ("csv", "json"):
@@ -361,7 +361,11 @@ def _disordered_run(
     realizations: int,
     master_seed: int,
 ):
-    """One realization or an ensemble mean; returns (distribution, mean variance)."""
+    """One realization or an ensemble mean.
+
+    Returns (distribution, mean variance, ensemble statistics), where the
+    statistics are None for a single realization.
+    """
     if realizations == 1:
         schedule = sample_schedule(spec, steps, master_seed, 0)
         state = evolve_disordered(build_initial_state(initial, steps), schedule)
@@ -591,9 +595,10 @@ _RECIPES = {
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute the configured run and write its output files.
 
-    Returns 0 on success.  Raises WalkError for invalid physics parameters
-    and OSError for filesystem problems; the ``main`` wrapper maps those to
-    exit statuses 2 and 1.
+    Returns 0 on success.  Raises WalkError for invalid physics parameters,
+    MemoryError when the lattice does not fit in memory, and OSError for
+    filesystem problems; the ``main`` wrapper maps those to exit statuses 2,
+    2 and 1.
     """
     if config.recipe is not None:
         out_dir = config.output_path
@@ -615,6 +620,9 @@ def main(argv: list[str] | None = None) -> int:
         return run_experiment(config)
     except WalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

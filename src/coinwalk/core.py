@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,10 @@ __all__ = [
     "CoinParams",
     "InitialStateParams",
     "WalkState",
+    "coin_matrices",
     "build_coin_matrix",
     "build_initial_state",
+    "evolve",
     "step",
     "evolve_ordered",
     "check_state",
@@ -114,38 +117,58 @@ class WalkState:
         return WalkState(self.t_max, self.amplitudes.copy(), self.steps_taken)
 
 
-def build_coin_matrix(params: CoinParams) -> np.ndarray:
-    """Return the 2x2 unitary coin matrix for the given angle triple.
+def coin_matrices(params) -> np.ndarray:
+    """Return one 2x2 unitary coin matrix per row of angle triples.
 
-    The matrix is::
+    Row k of ``params`` is (xi, theta, zeta) and gives the matrix::
 
         [[ exp(+i*xi)  * cos(theta),   exp(+i*zeta) * sin(theta)],
          [ exp(-i*zeta) * sin(theta),  -exp(-i*xi)  * cos(theta)]]
 
     which is unitary for every choice of finite angles.  (xi, pi/4, zeta)
-    with zero phases is the Hadamard coin.
+    with zero phases is the Hadamard coin.  The phases are assembled from
+    cos and sin and multiplied in the same order as scalar complex
+    arithmetic would, so a row gives the same bits as evaluating the
+    formula one triple at a time.
 
     Parameters
     ----------
-    params : CoinParams
-        Finite angles in radians.
+    params : array_like
+        Shape (steps, 3), finite angles in radians.
 
     Returns
     -------
     numpy.ndarray
-        Shape (2, 2), dtype complex128.
+        Shape (steps, 2, 2), dtype complex128.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``params`` is not (steps, 3) or holds a non-finite angle.
     """
-    c = math.cos(params.theta)
-    s = math.sin(params.theta)
-    exi = cmath.exp(1j * params.xi)
-    eze = cmath.exp(1j * params.zeta)
-    return np.array(
-        [
-            [exi * c, eze * s],
-            [eze.conjugate() * s, -exi.conjugate() * c],
-        ],
-        dtype=np.complex128,
-    )
+    angles = np.asarray(params, dtype=np.float64)
+    if angles.ndim != 2 or angles.shape[1] != 3:
+        raise InvalidParameterError(f"params must have shape (steps, 3), got {angles.shape}")
+    if not np.all(np.isfinite(angles)):
+        raise InvalidParameterError("coin angles must be finite real numbers")
+    xi, theta, zeta = angles.T
+    c = np.cos(theta)
+    s = np.sin(theta)
+    exi = np.empty(len(angles), dtype=np.complex128)
+    exi.real, exi.imag = np.cos(xi), np.sin(xi)
+    eze = np.empty(len(angles), dtype=np.complex128)
+    eze.real, eze.imag = np.cos(zeta), np.sin(zeta)
+    coins = np.empty((len(angles), 2, 2), dtype=np.complex128)
+    coins[:, 0, 0] = exi * c
+    coins[:, 0, 1] = eze * s
+    coins[:, 1, 0] = eze.conjugate() * s
+    coins[:, 1, 1] = -exi.conjugate() * c
+    return coins
+
+
+def build_coin_matrix(params: CoinParams) -> np.ndarray:
+    """Return the (2, 2) coin matrix of one angle triple; see :func:`coin_matrices`."""
+    return coin_matrices([(params.xi, params.theta, params.zeta)])[0]
 
 
 def build_initial_state(params: InitialStateParams, t_max: int) -> WalkState:
@@ -170,25 +193,73 @@ def build_initial_state(params: InitialStateParams, t_max: int) -> WalkState:
     return WalkState(t_max=t_max, amplitudes=amps, steps_taken=0)
 
 
-def step(state: WalkState, coin: np.ndarray) -> WalkState:
-    """Advance the walk by one step: coin operation, then conditional shift.
+def evolve(
+    state: WalkState,
+    coins,
+    observe: Callable[[int, np.ndarray], None] | None = None,
+) -> WalkState:
+    """Apply one walk step per coin matrix, ``coins[0]`` first.
 
-    The coin matrix mixes the two internal components at every occupied
-    site; the shift then moves the whole post-coin |0> row from x to x-1
-    and the |1> row from x to x+1.  Amplitude never reaches the array edge
-    because a step is refused once ``steps_taken`` equals ``t_max``.
+    A step mixes the two internal components at every site with the coin,
+    then moves the whole post-coin |0> row from x to x-1 and the |1> row
+    from x to x+1; amplitude shifted past the lattice edge is dropped and
+    the vacated edge cell is zeroed.  A walk started inside the light cone
+    never reaches the edge, because the lattice must hold every requested
+    step.
+
+    The steps run in place on two buffers allocated once per call, so a
+    step allocates no arrays.
 
     Parameters
     ----------
     state : WalkState
         State to advance; not modified.
-    coin : numpy.ndarray
-        Unitary 2x2 coin matrix, e.g. from :func:`build_coin_matrix`.
+    coins : array_like
+        Shape (steps, 2, 2): unitary coin matrices, e.g. from
+        :func:`coin_matrices`.
+    observe : callable, optional
+        Called after every step as ``observe(steps_taken, amplitudes)``.
+        ``amplitudes`` is the live (2, 2*t_max + 1) buffer: read it during
+        the call, do not keep or modify it.
 
     Returns
     -------
     WalkState
-        New state with ``steps_taken`` incremented.
+        New state with ``steps_taken`` increased by ``len(coins)``.
+
+    Raises
+    ------
+    CapacityError
+        If the lattice cannot absorb that many further steps.
+    InvalidParameterError
+        If ``coins`` is not a (steps, 2, 2) array.
+    """
+    coins = np.asarray(coins, dtype=np.complex128)
+    if coins.ndim != 3 or coins.shape[1:] != (2, 2):
+        raise InvalidParameterError(f"coins must have shape (steps, 2, 2), got {coins.shape}")
+    if state.steps_taken + len(coins) > state.t_max:
+        raise CapacityError(
+            f"{len(coins)} more steps would exceed t_max={state.t_max} "
+            f"(state already at {state.steps_taken} steps)"
+        )
+    amps = state.amplitudes.copy()
+    mixed = np.empty_like(amps)
+    # column i is site x = i - t_max: row 0 moves left, row 1 moves right.
+    # The views are taken once; slicing anew each step costs more than the copy.
+    moved_left, moved_right = amps[0, :-1], amps[1, 1:]
+    from_right, from_left = mixed[0, 1:], mixed[1, :-1]
+    for taken, coin in enumerate(coins, start=state.steps_taken + 1):
+        np.matmul(coin, amps, out=mixed)
+        moved_left[...] = from_right
+        moved_right[...] = from_left
+        amps[0, -1] = amps[1, 0] = 0.0
+        if observe is not None:
+            observe(taken, amps)
+    return WalkState(state.t_max, amps, state.steps_taken + len(coins))
+
+
+def step(state: WalkState, coin: np.ndarray) -> WalkState:
+    """Advance the walk by one step with one (2, 2) coin; see :func:`evolve`.
 
     Raises
     ------
@@ -197,20 +268,7 @@ def step(state: WalkState, coin: np.ndarray) -> WalkState:
     InvalidParameterError
         If ``coin`` is not a 2x2 matrix.
     """
-    if state.steps_taken >= state.t_max:
-        raise CapacityError(
-            f"cannot step beyond t_max={state.t_max}; "
-            f"state has already taken {state.steps_taken} steps"
-        )
-    coin = np.asarray(coin, dtype=np.complex128)
-    if coin.shape != (2, 2):
-        raise InvalidParameterError(f"coin must be a 2x2 matrix, got shape {coin.shape}")
-    mixed = coin @ state.amplitudes
-    out = np.zeros_like(mixed)
-    # column i is site x = i - t_max: row 0 moves left, row 1 moves right
-    out[0, :-1] = mixed[0, 1:]
-    out[1, 1:] = mixed[1, :-1]
-    return WalkState(t_max=state.t_max, amplitudes=out, steps_taken=state.steps_taken + 1)
+    return evolve(state, np.asarray(coin, dtype=np.complex128)[np.newaxis])
 
 
 def evolve_ordered(initial: WalkState, coin: CoinParams, steps: int) -> WalkState:
@@ -225,16 +283,7 @@ def evolve_ordered(initial: WalkState, coin: CoinParams, steps: int) -> WalkStat
     """
     if steps < 0:
         raise InvalidParameterError(f"steps must be >= 0, got {steps}")
-    if initial.steps_taken + steps > initial.t_max:
-        raise CapacityError(
-            f"{steps} more steps would exceed t_max={initial.t_max} "
-            f"(already at {initial.steps_taken})"
-        )
-    matrix = build_coin_matrix(coin)
-    state = initial.copy()
-    for _ in range(steps):
-        state = step(state, matrix)
-    return state
+    return evolve(initial, np.broadcast_to(build_coin_matrix(coin), (steps, 2, 2)))
 
 
 def check_state(state: WalkState, norm_tol: float = 1e-10) -> None:

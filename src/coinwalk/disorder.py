@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coinwalk.core import CoinParams, WalkState, build_coin_matrix, step
-from coinwalk.errors import CapacityError, InvalidParameterError
+from coinwalk.core import WalkState, coin_matrices, evolve
+from coinwalk.errors import InvalidParameterError
 
 __all__ = [
     "ORDERED",
@@ -105,20 +105,22 @@ class DisorderSpec:
             raise InvalidParameterError("ordered mode requires degenerate ranges (low == high)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoinSchedule:
-    """One coin-parameter triple per step, with its seed provenance.
+    """One coin-angle triple per step, with its seed provenance.
 
-    Regenerating with identical (master_seed, realization_index, spec,
-    steps) reproduces the entry list bit for bit.
+    ``params`` has shape (steps, 3); row k holds (xi, theta, zeta) of step
+    k.  Regenerating with identical (master_seed, realization_index, spec,
+    steps) reproduces ``params`` bit for bit.  Schedules compare by
+    identity; compare their ``params`` arrays to compare contents.
     """
 
-    entries: tuple[CoinParams, ...]
+    params: np.ndarray
     master_seed: int
     realization_index: int
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.params)
 
 
 def preset_spec(name: str) -> DisorderSpec:
@@ -175,7 +177,7 @@ def sample_schedule(
     Draws are independent across steps.  Within a step the order is fixed
     as (xi, theta, zeta), so the schedule depends only on the arguments and
     never on internal data layout.  Schedules drawn from the same stream
-    extend each other: entry i is identical for every ``steps > i``.
+    extend each other: row i is identical for every ``steps > i``.
 
     Parameters
     ----------
@@ -199,21 +201,19 @@ def sample_schedule(
     u = rng.random((int(steps), 3))
     lows = np.array([spec.xi_range.low, spec.theta_range.low, spec.zeta_range.low])
     widths = np.array([spec.xi_range.width, spec.theta_range.width, spec.zeta_range.width])
-    draws = lows + u * widths
-    entries = tuple(
-        CoinParams(float(xi), float(theta), float(zeta)) for xi, theta, zeta in draws
-    )
+    params = lows + u * widths
+    params.setflags(write=False)
     return CoinSchedule(
-        entries=entries,
+        params=params,
         master_seed=int(master_seed),
         realization_index=int(realization_index),
     )
 
 
 def evolve_disordered(initial: WalkState, schedule: CoinSchedule) -> WalkState:
-    """Apply one walk step per schedule entry, entry 0 first.
+    """Apply one walk step per schedule row, row 0 first.
 
-    A schedule whose entries are all identical reproduces the ordered walk
+    A schedule whose rows are all identical reproduces the ordered walk
     amplitude for amplitude.  An empty schedule returns a copy of the
     initial state.
 
@@ -222,12 +222,4 @@ def evolve_disordered(initial: WalkState, schedule: CoinSchedule) -> WalkState:
     CapacityError
         If the schedule is longer than the lattice can absorb.
     """
-    if initial.steps_taken + len(schedule.entries) > initial.t_max:
-        raise CapacityError(
-            f"schedule of length {len(schedule.entries)} exceeds t_max={initial.t_max} "
-            f"(state already at {initial.steps_taken} steps)"
-        )
-    state = initial.copy()
-    for entry in schedule.entries:
-        state = step(state, build_coin_matrix(entry))
-    return state
+    return evolve(initial, coin_matrices(schedule.params))

@@ -37,11 +37,11 @@ from coinwalk.cli import main
 from coinwalk.core import (
     CoinParams,
     InitialStateParams,
-    build_coin_matrix,
     build_initial_state,
     check_state,
+    coin_matrices,
+    evolve,
     evolve_ordered,
-    step,
 )
 from coinwalk.disorder import PRESET_NAMES, evolve_disordered, preset_spec, sample_schedule
 
@@ -114,18 +114,24 @@ def test_criterion_1_variance_growth_law():
 
 
 def test_criterion_2_dense_operator_oracle():
-    """Step engine matches the dense one-step operator product for t <= 8."""
+    """Every intermediate state of the kernel matches the dense operator product, t <= 8."""
     start = time.perf_counter()
     t_max = 8
     worst = 0.0
+    observed = 0
     for preset in PRESET_NAMES:
         schedule = sample_schedule(preset_spec(preset), t_max, MASTER_SEED)
         state = build_initial_state(SYM, t_max)
         reference = state.amplitudes.copy()
-        for t, entry in enumerate(schedule.entries, start=1):
-            state = step(state, build_coin_matrix(entry))
-            reference = dense_evolve(reference, [(entry.xi, entry.theta, entry.zeta)])
-            worst = max(worst, float(np.max(np.abs(state.amplitudes - reference))))
+
+        def compare(t, amplitudes):
+            nonlocal reference, worst, observed
+            reference = dense_evolve(reference, [schedule.params[t - 1]])
+            worst = max(worst, float(np.max(np.abs(amplitudes - reference))))
+            observed += 1
+
+        evolve(state, coin_matrices(schedule.params), observe=compare)
+    assert observed == t_max * len(PRESET_NAMES)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 1.0
     report(

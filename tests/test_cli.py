@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from coinwalk import cli
 from coinwalk.cli import main, parse_config
 from coinwalk.disorder import PER_STEP_RANDOM
 
@@ -94,6 +95,41 @@ class TestErrorPaths:
 
     def test_recipe_rejects_fixed_flags(self, tmp_path):
         assert main(["--recipe", "fig1", "--steps", "50", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "config, flags, named",
+        [
+            ({"steps": 2.9}, [], "--steps"),
+            ({"realizations": True}, [], "--realizations"),
+            ({}, ["--seed", str(2**64)], "--seed"),
+            ({}, ["--seed", "-1"], "--seed"),
+        ],
+        ids=["fractional-steps", "boolean-realizations", "seed-past-64-bits", "negative-seed"],
+    )
+    def test_inexact_or_out_of_range_integers_rejected(
+        self, tmp_path, capsys, config, flags, named
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "d.csv"
+        assert main(["--config", str(cfg), *flags, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_accepted(self):
+        config = parse_config(["--seed", str(2**64 - 1), "--out", "d.csv"])
+        assert config.master_seed == 2**64 - 1
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def allocation_fails(initial, t_max):
+            raise MemoryError(f"Unable to allocate lattice of {2 * t_max + 1} sites")
+
+        # stands in for the lattice allocation of a huge --steps, so the test
+        # allocates nothing large
+        monkeypatch.setattr(cli, "build_initial_state", allocation_fails)
+        assert main(["--steps", "50", "--out", str(tmp_path / "d.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
 
     def test_unwritable_path_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"

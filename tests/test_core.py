@@ -14,13 +14,15 @@ from coinwalk.core import (
     build_coin_matrix,
     build_initial_state,
     check_state,
+    coin_matrices,
+    evolve,
     evolve_ordered,
     step,
 )
 from coinwalk.disorder import preset_spec, sample_schedule, evolve_disordered
 from coinwalk.errors import CapacityError, InvalidParameterError
 
-from oracle_dense import dense_evolve
+from oracle_dense import dense_coin, dense_evolve
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
@@ -31,6 +33,19 @@ finite_angles = st.floats(allow_nan=False, allow_infinity=False, width=64)
 def symmetric_state(t_max: int) -> WalkState:
     """The (|0> + i|1>)/sqrt(2) initial state used throughout."""
     return build_initial_state(InitialStateParams(), t_max)
+
+
+def reference_step(amplitudes: np.ndarray, coin: np.ndarray) -> np.ndarray:
+    """One step written out as a fresh product and a shift into a zeroed array."""
+    mixed = coin @ amplitudes
+    out = np.zeros_like(mixed)
+    out[0, :-1] = mixed[0, 1:]
+    out[1, 1:] = mixed[1, :-1]
+    return out
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +125,35 @@ class TestCoinMatrix:
     def test_unitary_for_any_finite_angles(self, xi, theta, zeta):
         m = build_coin_matrix(CoinParams(xi, theta, zeta))
         np.testing.assert_allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
+
+    def test_coin_matrices_equal_the_scalar_formula_bit_for_bit(self):
+        # negative angles, angles beyond 2*pi and tiny values
+        fixed = [
+            (0.0, 0.0, 0.0), (0.0, QUARTER_PI, 0.0),
+            (-HALF_PI, -math.pi, -2.5), (7.0, 2 * math.pi + 0.1, 13.0),
+            (-40.0, 39.5, -1e-300), (5e-324, 1.0, 100.0),
+        ]
+        rng = np.random.default_rng(3)
+        params = np.vstack([fixed, rng.uniform(-50.0, 50.0, (5000, 3))])
+        coins = coin_matrices(params)
+        assert coins.shape == (len(params), 2, 2) and coins.dtype == np.complex128
+        scalar = np.array([dense_coin(*row) for row in params])
+        assert same_bits(coins, scalar)
+        for row, coin in zip(params[:50], coins):
+            assert same_bits(build_coin_matrix(CoinParams(*row)), coin)
+        # from -0.0 angles only the sign of a zero entry may differ
+        assert np.array_equal(coin_matrices([(-0.0, -0.0, -0.0)])[0], dense_coin(-0.0, -0.0, -0.0))
+
+    def test_coin_matrices_reject_bad_input(self):
+        for bad in (np.zeros(3), np.zeros((4, 2)), np.zeros((2, 3, 1))):
+            with pytest.raises(InvalidParameterError):
+                coin_matrices(bad)
+        for value in (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                coin_matrices([[0.0, value, 0.0]])
+
+    def test_empty_schedule_gives_no_coins(self):
+        assert coin_matrices(np.empty((0, 3))).shape == (0, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +235,72 @@ class TestStep:
 
 
 # ---------------------------------------------------------------------------
+# evolution kernel
+
+
+class TestEvolve:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_a_loop_of_single_steps_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        t_max = int(rng.integers(1, 40))
+        taken = int(rng.integers(0, t_max))
+        steps = int(rng.integers(0, t_max - taken + 1))
+        # amplitude everywhere, the two edge columns included
+        amps = rng.normal(size=(2, 2 * t_max + 1)) + 1j * rng.normal(size=(2, 2 * t_max + 1))
+        assert np.all(amps[:, [0, -1]] != 0)
+        coins = coin_matrices(rng.uniform(-10.0, 10.0, (steps, 3)))
+        expected = amps
+        for coin in coins:
+            expected = reference_step(expected, coin)
+        state = evolve(WalkState(t_max, amps, taken), coins)
+        assert np.array_equal(state.amplitudes, expected)
+        assert (state.t_max, state.steps_taken) == (t_max, taken + steps)
+
+    def test_observe_sees_every_intermediate_state(self):
+        schedule = sample_schedule(preset_spec("theta-high"), 12, master_seed=4)
+        coins = coin_matrices(schedule.params)
+        expected = symmetric_state(20).amplitudes
+        for coin in coins[:5]:
+            expected = reference_step(expected, coin)
+        seen = []
+
+        def observe(t, amplitudes):
+            nonlocal expected
+            expected = reference_step(expected, coins[5 + len(seen)])
+            assert np.array_equal(amplitudes, expected)
+            seen.append(t)
+
+        final = evolve(evolve(symmetric_state(20), coins[:5]), coins[5:], observe=observe)
+        assert seen == list(range(6, 13))
+        assert np.array_equal(final.amplitudes, expected)
+
+    def test_input_state_is_not_mutated(self):
+        initial = symmetric_state(6)
+        before = initial.amplitudes.copy()
+        evolve(initial, coin_matrices(np.full((6, 3), 0.7)))
+        assert same_bits(initial.amplitudes, before)
+
+    def test_no_coins_is_a_copy(self):
+        initial = symmetric_state(3)
+        state = evolve(initial, np.empty((0, 2, 2)))
+        assert state.amplitudes is not initial.amplitudes
+        assert same_bits(state.amplitudes, initial.amplitudes)
+        assert state.steps_taken == 0
+
+    def test_capacity_checked_before_any_step(self):
+        calls = []
+        with pytest.raises(CapacityError):
+            evolve(symmetric_state(3), coin_matrices(np.zeros((4, 3))),
+                   observe=lambda t, a: calls.append(t))
+        assert calls == []
+
+    def test_coin_shape_rejected(self):
+        for bad in (np.eye(2), np.zeros((3, 2, 3)), np.zeros((2, 2, 2, 1))):
+            with pytest.raises(InvalidParameterError):
+                evolve(symmetric_state(3), bad)
+
+
+# ---------------------------------------------------------------------------
 # multi-step evolution
 
 
@@ -235,10 +345,14 @@ class TestInvariants:
 
     def test_light_cone_and_parity_are_exact(self):
         schedule = sample_schedule(preset_spec("full-range"), 60, master_seed=5)
-        state = symmetric_state(60)
-        for entry in schedule.entries:
-            state = step(state, build_coin_matrix(entry))
-            check_state(state)
+        seen = []
+
+        def check(t, amplitudes):
+            check_state(WalkState(60, amplitudes.copy(), t))
+            seen.append(t)
+
+        evolve(symmetric_state(60), coin_matrices(schedule.params), observe=check)
+        assert seen == list(range(1, 61))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -289,8 +403,7 @@ class TestDenseOracle:
     def test_fixed_disordered_schedule_matches_dense_operator(self):
         schedule = sample_schedule(preset_spec("full-range"), 8, master_seed=99)
         state = symmetric_state(8)
-        triples = [(e.xi, e.theta, e.zeta) for e in schedule.entries]
-        expected = dense_evolve(state.amplitudes, triples)
+        expected = dense_evolve(state.amplitudes, schedule.params)
         evolved = evolve_disordered(state, schedule)
         np.testing.assert_allclose(evolved.amplitudes, expected, atol=1e-12)
 

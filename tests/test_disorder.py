@@ -35,6 +35,10 @@ MIXER_PINS = {
     (-7, 0): 7790691224305936752,
 }
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # chi-square critical value at the 99.9th percentile for 19 degrees of
 # freedom (20 bins), frozen from scipy.stats.chi2.ppf(0.999, 19)
 CHI2_CRIT_20_BINS = 43.82019596451753
@@ -115,32 +119,39 @@ class TestSampleSchedule:
     def test_zero_steps_gives_empty_schedule(self):
         schedule = sample_schedule(preset_spec("full-range"), 0, master_seed=1)
         assert len(schedule) == 0
-        assert schedule.entries == ()
+        assert schedule.params.shape == (0, 3)
 
     def test_degenerate_ranges_give_identical_entries(self):
         zero = ParameterRange(0.0, 0.0)
         spec = DisorderSpec(zero, ParameterRange(QUARTER_PI, QUARTER_PI), zero, mode=ORDERED)
         schedule = sample_schedule(spec, 5, master_seed=7)
         assert len(schedule) == 5
-        assert all(e == CoinParams(0.0, QUARTER_PI, 0.0) for e in schedule.entries)
+        assert same_bits(schedule.params, np.tile([0.0, QUARTER_PI, 0.0], (5, 1)))
 
     def test_same_inputs_reproduce_bit_for_bit(self):
         spec = preset_spec("full-range")
         a = sample_schedule(spec, 64, master_seed=42, realization_index=0)
         b = sample_schedule(spec, 64, master_seed=42, realization_index=0)
-        assert a == b
+        assert same_bits(a.params, b.params)
+        assert (a.master_seed, a.realization_index) == (b.master_seed, b.realization_index)
+        # the rows are the draws lows + u * widths of the documented stream
+        u = np.random.default_rng(derive_stream_seed(42, 0)).random((64, 3))
+        lows = np.array([0.0, 0.0, 0.0])
+        widths = np.array([HALF_PI, HALF_PI, HALF_PI])
+        assert same_bits(a.params, lows + u * widths)
+        assert not a.params.flags.writeable
 
     def test_next_realization_differs(self):
         spec = preset_spec("full-range")
         a = sample_schedule(spec, 64, master_seed=42, realization_index=0)
         b = sample_schedule(spec, 64, master_seed=42, realization_index=1)
-        assert a.entries != b.entries
+        assert np.all(a.params != b.params)
 
     def test_longer_schedule_extends_shorter(self):
         spec = preset_spec("theta-high")
         short = sample_schedule(spec, 50, master_seed=9)
         long = sample_schedule(spec, 100, master_seed=9)
-        assert long.entries[:50] == short.entries
+        assert same_bits(long.params[:50], short.params)
 
     def test_negative_steps_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -154,14 +165,15 @@ class TestSampleSchedule:
     )
     def test_determinism_property(self, seed, index, steps):
         spec = preset_spec("theta-low")
-        assert sample_schedule(spec, steps, seed, index) == sample_schedule(
-            spec, steps, seed, index
-        )
+        a = sample_schedule(spec, steps, seed, index)
+        b = sample_schedule(spec, steps, seed, index)
+        assert a.params.shape == (steps, 3)
+        assert same_bits(a.params, b.params)
 
     def test_one_million_draws_stay_in_closed_ranges(self):
         spec = preset_spec("theta-high")
         schedule = sample_schedule(spec, 333_334, master_seed=13)  # > 1e6 parameters
-        values = np.array([(e.xi, e.theta, e.zeta) for e in schedule.entries])
+        values = schedule.params
         assert values[:, 0].min() >= 0.0 and values[:, 0].max() <= HALF_PI
         assert values[:, 1].min() >= QUARTER_PI and values[:, 1].max() <= HALF_PI
         assert values[:, 2].min() >= 0.0 and values[:, 2].max() <= HALF_PI
@@ -170,7 +182,7 @@ class TestSampleSchedule:
         # 1e5 theta draws from [0, pi/2] against 20 equiprobable bins
         spec = preset_spec("full-range")
         schedule = sample_schedule(spec, 100_000, master_seed=2024)
-        thetas = np.array([e.theta for e in schedule.entries])
+        thetas = schedule.params[:, 1]
         counts, _ = np.histogram(thetas, bins=20, range=(0.0, HALF_PI))
         expected = thetas.size / 20
         statistic = float(((counts - expected) ** 2 / expected).sum())
@@ -179,8 +191,8 @@ class TestSampleSchedule:
 
 class TestEvolveDisordered:
     def test_degenerate_schedule_equals_ordered_walk(self):
-        entries = tuple(CoinParams(0.0, QUARTER_PI, 0.0) for _ in range(2))
-        schedule = CoinSchedule(entries=entries, master_seed=0, realization_index=0)
+        params = np.array([[0.0, QUARTER_PI, 0.0]] * 2)
+        schedule = CoinSchedule(params=params, master_seed=0, realization_index=0)
         initial = build_initial_state(InitialStateParams(), 2)
         disordered = evolve_disordered(initial, schedule)
         ordered = evolve_ordered(initial, CoinParams(0.0, QUARTER_PI, 0.0), 2)
@@ -188,7 +200,7 @@ class TestEvolveDisordered:
 
     def test_empty_schedule_is_identity(self):
         initial = build_initial_state(InitialStateParams(), 3)
-        schedule = CoinSchedule(entries=(), master_seed=5, realization_index=0)
+        schedule = CoinSchedule(params=np.empty((0, 3)), master_seed=5, realization_index=0)
         state = evolve_disordered(initial, schedule)
         np.testing.assert_array_equal(state.amplitudes, initial.amplitudes)
         assert state.steps_taken == 0
@@ -196,8 +208,8 @@ class TestEvolveDisordered:
     def test_two_step_bounce_lands_back_at_origin(self):
         # diagonal coin sends pure |0> to x=-1; the swap coin flips it to
         # |1> and shifts it back to the origin
-        entries = (CoinParams(0.0, 0.0, 0.0), CoinParams(0.0, HALF_PI, 0.0))
-        schedule = CoinSchedule(entries=entries, master_seed=0, realization_index=0)
+        params = np.array([[0.0, 0.0, 0.0], [0.0, HALF_PI, 0.0]])
+        schedule = CoinSchedule(params=params, master_seed=0, realization_index=0)
         initial = build_initial_state(InitialStateParams(delta=0.0, phi=0.0), 2)
         state = evolve_disordered(initial, schedule)
         p = (np.abs(state.amplitudes) ** 2).sum(axis=0)
