@@ -31,6 +31,7 @@ from coinwalk.core import (
     check_state,
     coin_matrices,
     evolve,
+    evolve_in_place,
     evolve_ordered,
     step,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "coin_matrices",
     "build_coin_matrix",
     "build_initial_state",
+    "evolve_in_place",
     "evolve",
     "step",
     "evolve_ordered",

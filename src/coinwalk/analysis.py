@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coinwalk.core import InitialStateParams, WalkState, build_initial_state, coin_matrices, evolve
+from coinwalk.core import (
+    InitialStateParams,
+    WalkState,
+    build_initial_state,
+    coin_matrices,
+    evolve_in_place,
+    exact_int,
+)
 from coinwalk.disorder import DisorderSpec, sample_schedule
 from coinwalk.errors import InvalidParameterError, NormDriftError
 
@@ -33,6 +40,10 @@ __all__ = [
 
 #: Largest tolerated deviation of a distribution's total probability from 1.
 NORM_DRIFT_LIMIT = 1e-6
+
+#: Bytes of evolution buffers one chunk of an ensemble may hold; the chunk
+#: size is this over the bytes per realization (at least 1).
+_CHUNK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -91,10 +102,31 @@ class EnsembleStats:
     per_step_variance: np.ndarray | None = None
 
 
-def _moments(p: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+def _moments(p: np.ndarray, x: np.ndarray, x_squared: np.ndarray) -> tuple[float, float]:
     mean = float(np.dot(p, x))
-    second = float(np.dot(p, x * x))
+    second = float(np.dot(p, x_squared))
     return mean, max(second - mean * mean, 0.0)
+
+
+def _float_positions(dist: PositionDistribution) -> tuple[np.ndarray, np.ndarray]:
+    x = dist.positions.astype(np.float64)
+    return x, x * x
+
+
+def _probabilities(a: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """|a|^2 summed over the coin axis of (..., 2, w) amplitudes, into ``out``."""
+    np.multiply(a.real, a.real, out=scratch[0])
+    np.multiply(a.imag, a.imag, out=scratch[1])
+    np.add(scratch[0], scratch[1], out=scratch[0])
+    return np.add(scratch[0][..., 0, :], scratch[0][..., 1, :], out=out)
+
+
+def _check_total(p: np.ndarray) -> None:
+    total = float(p.sum())
+    if abs(total - 1.0) > NORM_DRIFT_LIMIT:
+        raise NormDriftError(
+            f"total probability {total!r} deviates from 1 by more than {NORM_DRIFT_LIMIT}"
+        )
 
 
 def distribution_from_state(state: WalkState) -> PositionDistribution:
@@ -111,11 +143,7 @@ def distribution_from_state(state: WalkState) -> PositionDistribution:
     """
     a = state.amplitudes
     p = (a.real * a.real + a.imag * a.imag).sum(axis=0)
-    total = float(p.sum())
-    if abs(total - 1.0) > NORM_DRIFT_LIMIT:
-        raise NormDriftError(
-            f"total probability {total!r} deviates from 1 by more than {NORM_DRIFT_LIMIT}"
-        )
+    _check_total(p)
     return PositionDistribution(t=state.steps_taken, p=p)
 
 
@@ -124,7 +152,7 @@ def variance(dist: PositionDistribution) -> float:
 
     Clipped at zero to absorb rounding when all mass sits on one site.
     """
-    return _moments(dist.p, dist.positions.astype(np.float64))[1]
+    return _moments(dist.p, *_float_positions(dist))[1]
 
 
 def classical_rw_distribution(steps: int) -> PositionDistribution:
@@ -135,9 +163,9 @@ def classical_rw_distribution(steps: int) -> PositionDistribution:
     and rounded once on division, so the variance equals t to machine
     precision.
     """
+    steps = exact_int("steps", steps)
     if steps < 0:
         raise InvalidParameterError(f"steps must be >= 0, got {steps}")
-    steps = int(steps)
     p = np.zeros(2 * steps + 1, dtype=np.float64)
     denom = 1 << steps
     for k in range(steps + 1):
@@ -203,7 +231,7 @@ def metrics_from_distribution(
     loc_length_ratio: float | None = None,
 ) -> RunMetrics:
     """Bundle the standard summary statistics of one distribution."""
-    mean, var = _moments(dist.p, dist.positions.astype(np.float64))
+    mean, var = _moments(dist.p, *_float_positions(dist))
     return RunMetrics(
         variance=var,
         std_dev=math.sqrt(var),
@@ -211,6 +239,11 @@ def metrics_from_distribution(
         symmetry_deviation=symmetry_deviation(dist),
         loc_length_ratio=loc_length_ratio,
     )
+
+
+def _chunk_size(width: int) -> int:
+    """Realizations per chunk: the kernel's two (2, width) complex buffers each."""
+    return max(1, _CHUNK_BYTES // (2 * 2 * width * np.dtype(np.complex128).itemsize))
 
 
 def run_ensemble(
@@ -223,40 +256,62 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Evolve independent disorder realizations and aggregate the results.
 
-    Realization r runs the schedule sampled with realization_index = r; the
-    mean distribution and variance statistics accumulate in index order, so
-    the output is a pure function of the arguments.  With
-    ``track_per_step`` the ensemble-mean variance is recorded after every
-    step, which costs one O(lattice) reduction per step.
+    Realization r runs the schedule sampled with realization_index = r.
+    Consecutive realizations are evolved together in chunks of a fixed
+    memory budget, but every statistic accumulates one realization at a
+    time in index order, so the output is a pure function of the arguments
+    and does not depend on the chunk size.  With ``track_per_step`` the
+    ensemble-mean variance is recorded after every step, which costs one
+    O(lattice) reduction per realization and step.
 
     Raises
     ------
     InvalidParameterError
-        If ``realizations`` < 1 or ``steps`` < 0.
+        If ``steps`` or ``realizations`` is not an integer, ``realizations``
+        < 1 or ``steps`` < 0.
+    NormDriftError
+        If a realization's total probability deviates from 1 by more than
+        ``NORM_DRIFT_LIMIT``.
     """
+    steps = exact_int("steps", steps)
+    realizations = exact_int("realizations", realizations)
     if realizations < 1:
         raise InvalidParameterError(f"realizations must be >= 1, got {realizations}")
     if steps < 0:
         raise InvalidParameterError(f"steps must be >= 0, got {steps}")
-    steps = int(steps)
+    width = 2 * steps + 1
     positions = np.arange(-steps, steps + 1, dtype=np.float64)
-    mean_p = np.zeros(2 * steps + 1, dtype=np.float64)
+    positions_squared = positions * positions
+    mean_p = np.zeros(width, dtype=np.float64)
     final_variances = np.empty(realizations, dtype=np.float64)
     per_step = np.zeros(steps + 1, dtype=np.float64) if track_per_step else None
 
+    chunk = min(_chunk_size(width), realizations)
+    start_amps = build_initial_state(initial, t_max=steps).amplitudes
+    amps_buf = np.empty((chunk, 2, width), dtype=np.complex128)
+    p_buf = np.empty((chunk, width), dtype=np.float64)
+    scratch_buf = np.empty((2, chunk, 2, width), dtype=np.float64)
+
     def record_variance(t: int, a: np.ndarray) -> None:
-        p = (a.real * a.real + a.imag * a.imag).sum(axis=0)
-        per_step[t] += _moments(p, positions)[1]
+        p = _probabilities(a, p_buf[: len(a)], scratch_buf[:, : len(a)])
+        for row in p:
+            per_step[t] += _moments(row, positions, positions_squared)[1]
 
     observe = record_variance if track_per_step else None
-    for r in range(realizations):
-        schedule = sample_schedule(spec, steps, master_seed, r)
-        state = evolve(
-            build_initial_state(initial, t_max=steps), coin_matrices(schedule.params), observe
+    for first in range(0, realizations, chunk):
+        indices = range(first, min(first + chunk, realizations))
+        params = np.stack(
+            [sample_schedule(spec, steps, master_seed, r).params for r in indices], axis=1
         )
-        dist = distribution_from_state(state)
-        mean_p += dist.p
-        final_variances[r] = variance(dist)
+        coins = coin_matrices(params.reshape(-1, 3)).reshape(steps, len(indices), 2, 2)
+        amps = amps_buf[: len(indices)]
+        amps[...] = start_amps
+        evolve_in_place(amps, coins, observe=observe)
+        p = _probabilities(amps, p_buf[: len(indices)], scratch_buf[:, : len(indices)])
+        for r, row in zip(indices, p):
+            _check_total(row)
+            mean_p += row
+            final_variances[r] = _moments(row, positions, positions_squared)[1]
 
     mean_p /= realizations
     if per_step is not None:

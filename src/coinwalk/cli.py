@@ -29,7 +29,13 @@ from coinwalk.analysis import (
     run_ensemble,
     variance,
 )
-from coinwalk.core import CoinParams, InitialStateParams, build_initial_state, evolve_ordered
+from coinwalk.core import (
+    CoinParams,
+    InitialStateParams,
+    build_initial_state,
+    evolve_ordered,
+    exact_int,
+)
 from coinwalk.disorder import (
     ORDERED,
     PER_STEP_RANDOM,
@@ -147,10 +153,10 @@ def _parse_range(flag: str, text: str) -> ParameterRange:
 
 
 def _exact_int(flag: str, value) -> int:
-    # int() would truncate a config file's 2.9 and turn its true into 1
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{flag} must be an integer, got {value!r}")
-    return value
+    try:
+        return exact_int(flag, value)
+    except WalkError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_config_file(path: str) -> dict:

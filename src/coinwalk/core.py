@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ __all__ = [
     "coin_matrices",
     "build_coin_matrix",
     "build_initial_state",
+    "evolve_in_place",
     "evolve",
     "step",
     "evolve_ordered",
@@ -38,6 +40,25 @@ def _finite(name: str, value: float) -> float:
     if not math.isfinite(out):
         raise InvalidParameterError(f"{name} must be a finite real number, got {value!r}")
     return out
+
+
+def exact_int(name: str, value) -> int:
+    """Return ``value`` as an int if it is an exact integer, else raise.
+
+    Python and numpy integers are accepted; bools and floats are rejected
+    rather than truncated (``int(2.9)`` would silently give 2, ``True`` 1).
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``value`` is a bool or not an integer.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -181,16 +202,98 @@ def build_initial_state(params: InitialStateParams, t_max: int) -> WalkState:
     Raises
     ------
     InvalidParameterError
-        If ``t_max`` is negative.
+        If ``t_max`` is negative or not an integer.
     """
+    t_max = exact_int("t_max", t_max)
     if t_max < 0:
         raise InvalidParameterError(f"t_max must be >= 0, got {t_max}")
-    t_max = int(t_max)
     amps = np.zeros((2, 2 * t_max + 1), dtype=np.complex128)
     half = params.delta / 2.0
     amps[0, t_max] = math.cos(half)
     amps[1, t_max] = math.sin(half) * cmath.exp(1j * params.phi)
     return WalkState(t_max=t_max, amplitudes=amps, steps_taken=0)
+
+
+def evolve_in_place(
+    amplitudes: np.ndarray,
+    coins,
+    *,
+    steps_taken: int = 0,
+    observe: Callable[[int, np.ndarray], None] | None = None,
+) -> None:
+    """Advance a batch of walks in place, one step per coin, ``coins[0]`` first.
+
+    A step mixes the two internal components at every site with the coin,
+    then moves the whole post-coin |0> row from x to x-1 and the |1> row
+    from x to x+1; amplitude shifted past the lattice edge is dropped and
+    the vacated edge cell is zeroed.  A walk started inside the light cone
+    never reaches the edge, because the lattice must hold every requested
+    step.  Walks in a batch are independent: walk ``i`` uses ``coins[:, i]``.
+
+    This is the package's only step loop.  The coin product goes into the
+    interior of a buffer padded with one zero column on each side, so the
+    shift is two whole-row copies and a step allocates no arrays.
+
+    Parameters
+    ----------
+    amplitudes : numpy.ndarray
+        Shape (..., 2, 2*t_max + 1), complex128; overwritten with the
+        evolved amplitudes.  The leading axes index independent walks.
+    coins : array_like
+        Shape (steps, ..., 2, 2), the leading batch axes matching those of
+        ``amplitudes``: one unitary coin per step and walk, e.g. from
+        :func:`coin_matrices`.
+    steps_taken : int
+        Steps the walks have already taken; with ``len(coins)`` it must fit
+        in ``t_max``.
+    observe : callable, optional
+        Called after every step as ``observe(steps_taken, amplitudes)``
+        with the step count reached and the live ``amplitudes`` array: read
+        it during the call, do not keep or modify it.
+
+    Raises
+    ------
+    CapacityError
+        If the lattice cannot absorb that many further steps.
+    InvalidParameterError
+        If ``amplitudes`` is not a complex128 (..., 2, odd) array,
+        ``coins`` does not have the matching (steps, ..., 2, 2) shape, or
+        ``steps_taken`` is not a non-negative integer.
+    """
+    amps = amplitudes
+    walk_shaped = amps.ndim >= 2 and amps.shape[-2] == 2 and amps.shape[-1] % 2 == 1
+    if amps.dtype != np.complex128 or not walk_shaped:
+        raise InvalidParameterError(
+            f"amplitudes must be a complex128 (..., 2, 2*t_max + 1) array, "
+            f"got {amps.dtype} {amps.shape}"
+        )
+    coins = np.asarray(coins, dtype=np.complex128)
+    per_step = amps.shape[:-2] + (2, 2)
+    if coins.shape[1:] != per_step or coins.ndim != len(per_step) + 1:
+        raise InvalidParameterError(
+            f"coins must have shape (steps, {', '.join(map(str, per_step))}), got {coins.shape}"
+        )
+    if exact_int("steps_taken", steps_taken) < 0:
+        raise InvalidParameterError(f"steps_taken must be >= 0, got {steps_taken}")
+    t_max = amps.shape[-1] // 2
+    if steps_taken + len(coins) > t_max:
+        raise CapacityError(
+            f"{len(coins)} more steps would exceed t_max={t_max} "
+            f"(state already at {steps_taken} steps)"
+        )
+    padded = np.zeros(amps.shape[:-1] + (amps.shape[-1] + 2,), dtype=np.complex128)
+    mixed = padded[..., 1:-1]
+    # column i is site x = i - t_max: row 0 moves left, row 1 moves right,
+    # and the zero pad columns refill the vacated edge cells.  The views are
+    # taken once; slicing anew each step costs more than the copy.
+    moved_left, moved_right = amps[..., 0, :], amps[..., 1, :]
+    from_right, from_left = padded[..., 0, 2:], padded[..., 1, :-2]
+    for taken, coin in enumerate(coins, start=steps_taken + 1):
+        np.matmul(coin, amps, out=mixed)
+        moved_left[...] = from_right
+        moved_right[...] = from_left
+        if observe is not None:
+            observe(taken, amps)
 
 
 def evolve(
@@ -200,15 +303,8 @@ def evolve(
 ) -> WalkState:
     """Apply one walk step per coin matrix, ``coins[0]`` first.
 
-    A step mixes the two internal components at every site with the coin,
-    then moves the whole post-coin |0> row from x to x-1 and the |1> row
-    from x to x+1; amplitude shifted past the lattice edge is dropped and
-    the vacated edge cell is zeroed.  A walk started inside the light cone
-    never reaches the edge, because the lattice must hold every requested
-    step.
-
-    The steps run in place on two buffers allocated once per call, so a
-    step allocates no arrays.
+    The single-walk call of :func:`evolve_in_place`, on a copy of the
+    state's amplitudes.
 
     Parameters
     ----------
@@ -234,27 +330,8 @@ def evolve(
     InvalidParameterError
         If ``coins`` is not a (steps, 2, 2) array.
     """
-    coins = np.asarray(coins, dtype=np.complex128)
-    if coins.ndim != 3 or coins.shape[1:] != (2, 2):
-        raise InvalidParameterError(f"coins must have shape (steps, 2, 2), got {coins.shape}")
-    if state.steps_taken + len(coins) > state.t_max:
-        raise CapacityError(
-            f"{len(coins)} more steps would exceed t_max={state.t_max} "
-            f"(state already at {state.steps_taken} steps)"
-        )
     amps = state.amplitudes.copy()
-    mixed = np.empty_like(amps)
-    # column i is site x = i - t_max: row 0 moves left, row 1 moves right.
-    # The views are taken once; slicing anew each step costs more than the copy.
-    moved_left, moved_right = amps[0, :-1], amps[1, 1:]
-    from_right, from_left = mixed[0, 1:], mixed[1, :-1]
-    for taken, coin in enumerate(coins, start=state.steps_taken + 1):
-        np.matmul(coin, amps, out=mixed)
-        moved_left[...] = from_right
-        moved_right[...] = from_left
-        amps[0, -1] = amps[1, 0] = 0.0
-        if observe is not None:
-            observe(taken, amps)
+    evolve_in_place(amps, coins, steps_taken=state.steps_taken, observe=observe)
     return WalkState(state.t_max, amps, state.steps_taken + len(coins))
 
 
@@ -279,8 +356,9 @@ def evolve_ordered(initial: WalkState, coin: CoinParams, steps: int) -> WalkStat
     CapacityError
         If the lattice cannot absorb that many further steps.
     InvalidParameterError
-        If ``steps`` is negative.
+        If ``steps`` is negative or not an integer.
     """
+    steps = exact_int("steps", steps)
     if steps < 0:
         raise InvalidParameterError(f"steps must be >= 0, got {steps}")
     return evolve(initial, np.broadcast_to(build_coin_matrix(coin), (steps, 2, 2)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coinwalk.core import WalkState, coin_matrices, evolve
+from coinwalk.core import WalkState, coin_matrices, evolve, exact_int
 from coinwalk.errors import InvalidParameterError
 
 __all__ = [
@@ -193,12 +193,14 @@ def sample_schedule(
     Raises
     ------
     InvalidParameterError
-        If ``steps`` or ``realization_index`` is negative.
+        If ``steps`` is not an integer, or ``steps`` or
+        ``realization_index`` is negative.
     """
+    steps = exact_int("steps", steps)
     if steps < 0:
         raise InvalidParameterError(f"steps must be >= 0, got {steps}")
     rng = np.random.default_rng(derive_stream_seed(master_seed, realization_index))
-    u = rng.random((int(steps), 3))
+    u = rng.random((steps, 3))
     lows = np.array([spec.xi_range.low, spec.theta_range.low, spec.zeta_range.low])
     widths = np.array([spec.xi_range.width, spec.theta_range.width, spec.zeta_range.width])
     params = lows + u * widths

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinwalk import analysis
 from coinwalk.analysis import (
     PositionDistribution,
     classical_rw_distribution,
@@ -19,7 +20,14 @@ from coinwalk.analysis import (
     symmetry_deviation,
     variance,
 )
-from coinwalk.core import CoinParams, InitialStateParams, build_initial_state, evolve_ordered
+from coinwalk.core import (
+    CoinParams,
+    InitialStateParams,
+    build_initial_state,
+    coin_matrices,
+    evolve,
+    evolve_ordered,
+)
 from coinwalk.disorder import evolve_disordered, preset_spec, sample_schedule
 from coinwalk.errors import InvalidParameterError, NormDriftError
 
@@ -31,6 +39,40 @@ SYM = InitialStateParams()
 def ordered_distribution(theta: float, steps: int) -> PositionDistribution:
     state = evolve_ordered(build_initial_state(SYM, steps), CoinParams(0.0, theta, 0.0), steps)
     return distribution_from_state(state)
+
+
+def reference_ensemble(spec, steps, realizations, master_seed, track_per_step):
+    """One realization at a time: sample, evolve, collapse, reduce, in index order."""
+    mean_p = np.zeros(2 * steps + 1)
+    variances = np.empty(realizations)
+    per_step = np.zeros(steps + 1) if track_per_step else None
+    for r in range(realizations):
+        coins = coin_matrices(sample_schedule(spec, steps, master_seed, r).params)
+        state = build_initial_state(SYM, steps)
+        if track_per_step:
+            for t, coin in enumerate(coins, start=1):
+                state = evolve(state, coin[np.newaxis])
+                per_step[t] += variance(distribution_from_state(state))
+        else:
+            state = evolve(state, coins)
+        dist = distribution_from_state(state)
+        mean_p += dist.p
+        variances[r] = variance(dist)
+    mean_p /= realizations
+    if per_step is not None:
+        per_step /= realizations
+    return mean_p, float(variances.mean()), float(variances.var()), per_step
+
+
+def assert_same_ensemble(stats, reference):
+    mean_p, mean_variance, variance_of_variance, per_step = reference
+    assert stats.mean_distribution.p.tobytes() == mean_p.tobytes()
+    assert stats.mean_variance == mean_variance
+    assert stats.variance_of_variance == variance_of_variance
+    if per_step is None:
+        assert stats.per_step_variance is None
+    else:
+        assert stats.per_step_variance.tobytes() == per_step.tobytes()
 
 
 class TestDistributionFromState:
@@ -99,6 +141,11 @@ class TestClassicalBaseline:
     def test_negative_steps_rejected(self):
         with pytest.raises(InvalidParameterError):
             classical_rw_distribution(-1)
+
+    @pytest.mark.parametrize("steps", [3.9, True])
+    def test_inexact_steps_rejected(self, steps):
+        with pytest.raises(InvalidParameterError, match="steps must be an integer"):
+            classical_rw_distribution(steps)
 
     @settings(max_examples=30, deadline=None)
     @given(t=st.integers(min_value=0, max_value=80))
@@ -239,3 +286,43 @@ class TestRunEnsemble:
     def test_zero_realizations_rejected(self):
         with pytest.raises(InvalidParameterError):
             run_ensemble(preset_spec("full-range"), SYM, 10, 0, master_seed=1)
+
+    @pytest.mark.parametrize("track", [False, True], ids=["final", "per-step"])
+    @pytest.mark.parametrize("realizations", [1, 2, 37])
+    def test_equals_the_per_realization_loop_bit_for_bit(self, realizations, track):
+        spec = preset_spec("theta-high")
+        stats = run_ensemble(spec, SYM, 30, realizations, master_seed=8, track_per_step=track)
+        assert stats.realizations == realizations
+        assert_same_ensemble(stats, reference_ensemble(spec, 30, realizations, 8, track))
+
+    @pytest.mark.parametrize("track", [False, True], ids=["final", "per-step"])
+    @pytest.mark.parametrize("chunk", [1, 7, 37, 50])
+    def test_results_do_not_depend_on_chunk_size(self, monkeypatch, chunk, track):
+        spec = preset_spec("full-range")
+        steps, width = 24, 49
+        # the budget holds exactly `chunk` realizations' two complex (2, width) buffers
+        monkeypatch.setattr(analysis, "_CHUNK_BYTES", chunk * 2 * 2 * width * 16)
+        assert analysis._chunk_size(width) == chunk
+        stats = run_ensemble(spec, SYM, steps, 37, master_seed=2, track_per_step=track)
+        assert_same_ensemble(stats, reference_ensemble(spec, steps, 37, 2, track))
+
+    @pytest.mark.parametrize(
+        "steps, realizations",
+        [(10.7, 3), (True, 3), (10, 2.5), (10, True), (10, 3.0)],
+        ids=["fractional-steps", "boolean-steps", "fractional-realizations",
+             "boolean-realizations", "float-realizations"],
+    )
+    def test_inexact_integers_rejected(self, steps, realizations):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            run_ensemble(preset_spec("full-range"), SYM, steps, realizations, master_seed=1)
+
+    def test_norm_drift_rejected(self, monkeypatch):
+        monkeypatch.setattr(analysis, "NORM_DRIFT_LIMIT", -1.0)
+        with pytest.raises(NormDriftError):
+            run_ensemble(preset_spec("full-range"), SYM, 5, 3, master_seed=1)
+
+    def test_numpy_integers_accepted(self):
+        spec = preset_spec("theta-low")
+        stats = run_ensemble(spec, SYM, np.int64(12), np.int64(3), master_seed=4,
+                             track_per_step=True)
+        assert_same_ensemble(stats, reference_ensemble(spec, 12, 3, 4, True))

@@ -16,7 +16,9 @@ from coinwalk.core import (
     check_state,
     coin_matrices,
     evolve,
+    evolve_in_place,
     evolve_ordered,
+    exact_int,
     step,
 )
 from coinwalk.disorder import preset_spec, sample_schedule, evolve_disordered
@@ -50,6 +52,20 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 # ---------------------------------------------------------------------------
 # parameter types
+
+
+class TestExactInt:
+    @pytest.mark.parametrize("value", [0, 7, 2**70, np.int64(7), np.uint8(7), np.array(7)])
+    def test_integers_accepted(self, value):
+        out = exact_int("n", value)
+        assert type(out) is int and out == int(value)
+
+    @pytest.mark.parametrize(
+        "value", [True, False, np.True_, 2.0, 2.9, np.float64(3.0), "3", None, np.array([3])]
+    )
+    def test_bools_floats_and_others_rejected(self, value):
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            exact_int("n", value)
 
 
 class TestParams:
@@ -188,6 +204,16 @@ class TestInitialState:
         with pytest.raises(InvalidParameterError):
             build_initial_state(InitialStateParams(), -1)
 
+    @pytest.mark.parametrize("t_max", [3.9, 3.0, True])
+    def test_inexact_t_max_rejected(self, t_max):
+        with pytest.raises(InvalidParameterError, match="t_max must be an integer"):
+            build_initial_state(InitialStateParams(), t_max)
+
+    def test_numpy_integer_t_max_accepted(self):
+        state = build_initial_state(InitialStateParams(), np.int64(3))
+        assert type(state.t_max) is int
+        assert same_bits(state.amplitudes, symmetric_state(3).amplitudes)
+
 
 # ---------------------------------------------------------------------------
 # single steps
@@ -300,6 +326,89 @@ class TestEvolve:
                 evolve(symmetric_state(3), bad)
 
 
+def random_amplitudes(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Amplitude on every site, the two edge columns included."""
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert np.all(amps[..., [0, -1]] != 0)
+    return amps
+
+
+def random_unitaries(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Random 2x2 unitaries (QR of complex Gaussians), outside the coin family."""
+    z = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+class TestEvolveInPlace:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("batch", [(1,), (5,), (2, 3)])
+    def test_batch_equals_separate_evolves_bit_for_bit(self, seed, batch):
+        rng = np.random.default_rng(seed)
+        t_max = int(rng.integers(1, 30))
+        taken = int(rng.integers(0, t_max))
+        steps = int(rng.integers(0, t_max - taken + 1))
+        amps = random_amplitudes(rng, batch + (2, 2 * t_max + 1))
+        coins = random_unitaries(rng, (steps,) + batch)
+        batched = amps.copy()
+        evolve_in_place(batched, coins, steps_taken=taken)
+        for i in np.ndindex(batch):
+            single = evolve(WalkState(t_max, amps[i], taken), coins[(slice(None),) + i])
+            assert same_bits(batched[i], single.amplitudes)
+
+    def test_observe_sees_every_live_batch_buffer(self):
+        rng = np.random.default_rng(9)
+        t_max, steps = 12, 9
+        start = random_amplitudes(rng, (4, 2, 2 * t_max + 1))
+        coins = random_unitaries(rng, (steps, 4))
+        expected = start.copy()
+        amps = start.copy()
+        seen = []
+
+        def observe(t, a):
+            assert a is amps
+            for i in range(4):
+                expected[i] = reference_step(expected[i], coins[len(seen), i])
+            assert same_bits(a, expected)
+            seen.append(t)
+
+        evolve_in_place(amps, coins, steps_taken=2, observe=observe)
+        assert seen == list(range(3, 3 + steps))
+        assert same_bits(amps, expected)
+
+    @pytest.mark.parametrize(
+        "coin_shape, steps_taken",
+        [
+            ((3, 4, 2, 2), 0),  # batch of 4 coins for 3 walks
+            ((3, 2, 2), 0),  # unbatched coins for a batch
+            ((3, 1, 2, 2), 0),  # no broadcasting over the batch
+            ((3, 3, 2, 3), 0),
+            ((3, 3, 2, 2), 3),  # 3 + 3 steps on a lattice of t_max = 5
+            ((6, 3, 2, 2), 0),
+        ],
+    )
+    def test_rejected_before_any_step(self, coin_shape, steps_taken):
+        amps = random_amplitudes(np.random.default_rng(0), (3, 2, 11))
+        before = amps.copy()
+        calls = []
+        error = CapacityError if coin_shape[1:] == (3, 2, 2) else InvalidParameterError
+        with pytest.raises(error):
+            evolve_in_place(amps, np.ones(coin_shape), steps_taken=steps_taken,
+                            observe=lambda t, a: calls.append(t))
+        assert calls == []
+        assert same_bits(amps, before)
+
+    def test_bad_amplitudes_or_steps_taken_rejected(self):
+        coins = np.empty((0, 2, 2))
+        for bad in (np.zeros((2, 5)), np.zeros((2, 4), complex), np.zeros(5, complex),
+                    np.zeros((3, 5), complex)):
+            with pytest.raises(InvalidParameterError):
+                evolve_in_place(bad, coins)
+        for taken in (-1, 1.5, True):
+            with pytest.raises(InvalidParameterError):
+                evolve_in_place(np.zeros((2, 5), complex), coins, steps_taken=taken)
+
+
 # ---------------------------------------------------------------------------
 # multi-step evolution
 
@@ -331,6 +440,11 @@ class TestEvolveOrdered:
     def test_negative_steps_rejected(self):
         with pytest.raises(InvalidParameterError):
             evolve_ordered(symmetric_state(3), CoinParams(0.0, QUARTER_PI, 0.0), -1)
+
+    @pytest.mark.parametrize("steps", [2.5, True])
+    def test_inexact_steps_rejected(self, steps):
+        with pytest.raises(InvalidParameterError, match="steps must be an integer"):
+            evolve_ordered(symmetric_state(3), CoinParams(0.0, QUARTER_PI, 0.0), steps)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,16 @@ class TestSampleSchedule:
         with pytest.raises(InvalidParameterError):
             sample_schedule(preset_spec("full-range"), -1, master_seed=0)
 
+    @pytest.mark.parametrize("steps", [3.9, True])
+    def test_inexact_steps_rejected(self, steps):
+        with pytest.raises(InvalidParameterError, match="steps must be an integer"):
+            sample_schedule(preset_spec("full-range"), steps, master_seed=0)
+
+    def test_numpy_integer_steps_accepted(self):
+        spec = preset_spec("full-range")
+        schedule = sample_schedule(spec, np.int64(4), master_seed=2)
+        assert same_bits(schedule.params, sample_schedule(spec, 4, master_seed=2).params)
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**64 - 1),
