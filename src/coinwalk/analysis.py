@@ -81,7 +81,6 @@ class RunMetrics:
     std_dev: float
     mean: float
     symmetry_deviation: float
-    loc_length_ratio: float | None = None
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,8 @@ def _probabilities(a: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.nd
 
 def _check_total(p: np.ndarray) -> None:
     total = float(p.sum())
-    if abs(total - 1.0) > NORM_DRIFT_LIMIT:
+    # written so that a NaN total fails too
+    if not abs(total - 1.0) <= NORM_DRIFT_LIMIT:
         raise NormDriftError(
             f"total probability {total!r} deviates from 1 by more than {NORM_DRIFT_LIMIT}"
         )
@@ -139,7 +139,8 @@ def distribution_from_state(state: WalkState) -> PositionDistribution:
     Raises
     ------
     NormDriftError
-        If total probability deviates from 1 by more than ``NORM_DRIFT_LIMIT``.
+        If total probability deviates from 1 by more than ``NORM_DRIFT_LIMIT``
+        or is not finite.
     """
     a = state.amplitudes
     p = (a.real * a.real + a.imag * a.imag).sum(axis=0)
@@ -226,10 +227,7 @@ def symmetry_deviation(dist: PositionDistribution) -> float:
     return float(np.max(np.abs(dist.p - dist.p[::-1])))
 
 
-def metrics_from_distribution(
-    dist: PositionDistribution,
-    loc_length_ratio: float | None = None,
-) -> RunMetrics:
+def metrics_from_distribution(dist: PositionDistribution) -> RunMetrics:
     """Bundle the standard summary statistics of one distribution."""
     mean, var = _moments(dist.p, *_float_positions(dist))
     return RunMetrics(
@@ -237,7 +235,6 @@ def metrics_from_distribution(
         std_dev=math.sqrt(var),
         mean=mean,
         symmetry_deviation=symmetry_deviation(dist),
-        loc_length_ratio=loc_length_ratio,
     )
 
 

@@ -29,13 +29,7 @@ from coinwalk.analysis import (
     run_ensemble,
     variance,
 )
-from coinwalk.core import (
-    CoinParams,
-    InitialStateParams,
-    build_initial_state,
-    evolve_ordered,
-    exact_int,
-)
+from coinwalk.core import InitialStateParams, build_initial_state, exact_int
 from coinwalk.disorder import (
     ORDERED,
     PER_STEP_RANDOM,
@@ -224,6 +218,8 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     out = pick("out")
     if out is None:
         raise UsageError("--out is required")
+    if not isinstance(out, str):
+        raise UsageError(f"--out must be a path string, got {out!r}")
 
     steps = _exact_int("--steps", pick("steps"))
     realizations = _exact_int("--realizations", pick("realizations"))
@@ -258,8 +254,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         xi = overrides.get("xi_range", base.xi_range)
         theta = overrides.get("theta_range", base.theta_range)
         zeta = overrides.get("zeta_range", base.zeta_range)
-        degenerate = xi.is_degenerate and theta.is_degenerate and zeta.is_degenerate
-        spec = DisorderSpec(xi, theta, zeta, mode=ORDERED if degenerate else PER_STEP_RANDOM)
+        spec = DisorderSpec(xi, theta, zeta)
         preset_label = None
     else:
         spec = base
@@ -353,49 +348,83 @@ def _write_meta(path: Path, config: ExperimentConfig, outputs: list[str]) -> Non
 # experiment execution
 
 
-def _ordered_reference_variance(initial: InitialStateParams, steps: int, theta: float) -> float:
-    state = evolve_ordered(
-        build_initial_state(initial, steps), CoinParams(0.0, theta, 0.0), steps
-    )
-    return variance(distribution_from_state(state))
+@dataclass(frozen=True)
+class Panel:
+    """One walk of a recipe: its file stem, the preset walked and its length.
+
+    A ``classical`` panel is compared with the exact classical walk (a
+    ``p_crw`` column and ``crw_variance``) instead of the ordered reference.
+    """
+
+    stem: str
+    preset: str
+    steps: int
+    classical: bool = False
 
 
-def _disordered_run(
+#: The walks of fig1-fig3, in output order.
+RECIPE_PANELS = {
+    "fig1": (Panel("fig1_full_range_t100", "full-range", 100, classical=True),),
+    "fig2": tuple(
+        Panel(f"fig2{letter}_{preset.replace('-', '_')}_t200", preset, 200)
+        for letter, preset in zip("abcd", PRESET_NAMES)
+    ),
+    "fig3": tuple(
+        Panel(f"fig3_{label}_t{steps}", preset, steps)
+        for steps in (100, 200, 400)
+        for label, preset in (("hadamard", "hadamard-ordered"), ("theta_high", "theta-high"))
+    ),
+}
+
+
+def _ordered_spec(theta: float) -> DisorderSpec:
+    """The walk with coin angle ``theta`` and zero phases at every step."""
+    zero = ParameterRange(0.0, 0.0)
+    return DisorderSpec(zero, ParameterRange(theta, theta), zero)
+
+
+def _walk(
+    config: ExperimentConfig, spec: DisorderSpec, steps: int, realizations: int, walks: dict
+):
+    """(distribution, mean variance, ensemble statistics or None) of one walk.
+
+    ``walks`` caches the results of one invocation, whose seed is fixed, so
+    a walk that two panels need runs once.
+    """
+    key = (spec, steps, realizations)
+    if key not in walks:
+        if realizations == 1:
+            schedule = sample_schedule(spec, steps, config.master_seed)
+            state = evolve_disordered(build_initial_state(config.initial, steps), schedule)
+            dist = distribution_from_state(state)
+            walks[key] = dist, variance(dist), None
+        else:
+            stats = run_ensemble(spec, config.initial, steps, realizations, config.master_seed)
+            walks[key] = stats.mean_distribution, stats.mean_variance, stats
+    return walks[key]
+
+
+def _run_panel(
+    config: ExperimentConfig,
+    path: Path,
     spec: DisorderSpec,
-    initial: InitialStateParams,
+    preset: str | None,
     steps: int,
     realizations: int,
-    master_seed: int,
-):
-    """One realization or an ensemble mean.
-
-    Returns (distribution, mean variance, ensemble statistics), where the
-    statistics are None for a single realization.
-    """
-    if realizations == 1:
-        schedule = sample_schedule(spec, steps, master_seed, 0)
-        state = evolve_disordered(build_initial_state(initial, steps), schedule)
-        dist = distribution_from_state(state)
-        return dist, variance(dist), None
-    stats = run_ensemble(spec, initial, steps, realizations, master_seed)
-    return stats.mean_distribution, stats.mean_variance, stats
-
-
-def _metrics_payload(
-    dist: PositionDistribution,
-    preset: str | None,
-    master_seed: int,
-    realizations: int,
-    mean_variance: float,
-    stats=None,
-    reference_variance: float | None = None,
-    reference_theta: float | None = None,
+    walks: dict,
+    classical: bool = False,
 ) -> dict:
+    """Walk ``spec``, write its distribution to ``path`` and return its metrics.
+
+    A disordered walk's metrics compare it with the ordered reference walk
+    of the same length, unless the panel is ``classical``.
+    """
+    dist, mean_variance, stats = _walk(config, spec, steps, realizations, walks)
     m = metrics_from_distribution(dist)
     payload = {
         "steps": dist.t,
         "preset": preset,
-        "seed": master_seed,
+        "seed": config.master_seed,
         "realizations": realizations,
         "variance": m.variance,
         "std_dev": m.std_dev,
@@ -405,140 +434,42 @@ def _metrics_payload(
     if stats is not None:
         payload["mean_variance"] = stats.mean_variance
         payload["variance_of_variance"] = stats.variance_of_variance
-    if reference_variance is not None:
-        ratio = localization_length(math.sqrt(mean_variance), math.sqrt(reference_variance))
-        payload["reference_theta"] = reference_theta
+    extra = {}
+    if classical:
+        crw = classical_rw_distribution(steps)
+        extra["p_crw"] = crw.p
+        payload["crw_variance"] = variance(crw)
+    elif spec.mode == PER_STEP_RANDOM:
+        reference = _ordered_spec(DEFAULT_REFERENCE_THETA)
+        reference_variance = _walk(config, reference, steps, 1, walks)[1]
+        payload["reference_theta"] = DEFAULT_REFERENCE_THETA
         payload["reference_variance"] = reference_variance
-        payload["loc_length_ratio"] = ratio
+        payload["loc_length_ratio"] = localization_length(
+            math.sqrt(mean_variance), math.sqrt(reference_variance)
+        )
         payload["variance_ratio"] = mean_variance / reference_variance
+    _write_distribution(path, config.format, dist, "p" if realizations == 1 else "p_mean", extra)
     return payload
 
 
-def _data_name(stem: str, fmt: str) -> str:
-    return f"{stem}.{fmt}"
-
-
-def _run_plain(config: ExperimentConfig) -> int:
-    out = config.output_path
-    out.parent.mkdir(parents=True, exist_ok=True)
-    dist, mean_variance, stats = _disordered_run(
-        config.spec, config.initial, config.steps, config.realizations, config.master_seed
-    )
-    value_name = "p" if config.realizations == 1 else "p_mean"
-    _write_distribution(out, config.format, dist, value_name)
-
-    if config.spec.mode == PER_STEP_RANDOM:
-        ref_var = _ordered_reference_variance(config.initial, config.steps, DEFAULT_REFERENCE_THETA)
-        payload = _metrics_payload(
-            dist, config.preset, config.master_seed, config.realizations,
-            mean_variance, stats, ref_var, DEFAULT_REFERENCE_THETA,
-        )
-    else:
-        payload = _metrics_payload(
-            dist, config.preset, config.master_seed, config.realizations, mean_variance, stats
-        )
-    _write_json(out.with_suffix(".metrics.json"), payload)
-    _write_meta(out.with_suffix(".meta.json"), config, [out.name])
-    return 0
-
-
-def _recipe_fig1(config: ExperimentConfig, out_dir: Path) -> int:
-    steps = 100
-    spec = preset_spec("full-range")
-    dist, mean_variance, stats = _disordered_run(
-        spec, config.initial, steps, config.realizations, config.master_seed
-    )
-    crw = classical_rw_distribution(steps)
-    value_name = "p" if config.realizations == 1 else "p_mean"
-    stem = f"fig1_full_range_t{steps}"
-    name = _data_name(stem, config.format)
-    _write_distribution(out_dir / name, config.format, dist, value_name, {"p_crw": crw.p})
-    payload = _metrics_payload(
-        dist, "full-range", config.master_seed, config.realizations, mean_variance, stats
-    )
-    payload["crw_variance"] = variance(crw)
-    _write_json(out_dir / "fig1_metrics.json", {stem: payload})
-    _write_meta(out_dir / "fig1_meta.json", config, [name, "fig1_metrics.json"])
-    return 0
-
-
-def _recipe_fig2(config: ExperimentConfig, out_dir: Path) -> int:
-    steps = 200
-    panels = [
-        ("a", "hadamard-ordered"),
-        ("b", "full-range"),
-        ("c", "theta-low"),
-        ("d", "theta-high"),
-    ]
+def _recipe_panels(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[str]]:
+    walks: dict = {}
     metrics: dict[str, dict] = {}
     outputs: list[str] = []
-    reference_variance: float | None = None
-    for letter, preset in panels:
-        spec = preset_spec(preset)
+    for panel in RECIPE_PANELS[config.recipe]:
+        spec = preset_spec(panel.preset)
+        # an ordered walk is the same in every realization
         realizations = 1 if spec.mode == ORDERED else config.realizations
-        dist, mean_variance, stats = _disordered_run(
-            spec, config.initial, steps, realizations, config.master_seed
-        )
-        stem = f"fig2{letter}_{preset.replace('-', '_')}_t{steps}"
-        name = _data_name(stem, config.format)
-        value_name = "p" if realizations == 1 else "p_mean"
-        _write_distribution(out_dir / name, config.format, dist, value_name)
-        outputs.append(name)
-        if spec.mode == ORDERED:
-            reference_variance = mean_variance
-            metrics[stem] = _metrics_payload(
-                dist, preset, config.master_seed, realizations, mean_variance, stats
-            )
-        else:
-            metrics[stem] = _metrics_payload(
-                dist, preset, config.master_seed, realizations, mean_variance, stats,
-                reference_variance, DEFAULT_REFERENCE_THETA,
-            )
-    _write_json(out_dir / "fig2_metrics.json", metrics)
-    _write_meta(out_dir / "fig2_meta.json", config, [*outputs, "fig2_metrics.json"])
-    return 0
-
-
-def _recipe_fig3(config: ExperimentConfig, out_dir: Path) -> int:
-    step_counts = (100, 200, 400)
-    spec = preset_spec("theta-high")
-    metrics: dict[str, dict] = {}
-    outputs: list[str] = []
-    for steps in step_counts:
-        ref_dist = distribution_from_state(
-            evolve_ordered(
-                build_initial_state(config.initial, steps),
-                CoinParams(0.0, DEFAULT_REFERENCE_THETA, 0.0),
-                steps,
-            )
-        )
-        ref_var = variance(ref_dist)
-        ref_stem = f"fig3_hadamard_t{steps}"
-        ref_name = _data_name(ref_stem, config.format)
-        _write_distribution(out_dir / ref_name, config.format, ref_dist, "p")
-        metrics[ref_stem] = _metrics_payload(
-            ref_dist, "hadamard-ordered", config.master_seed, 1, ref_var
-        )
-        outputs.append(ref_name)
-
-        dist, mean_variance, stats = _disordered_run(
-            spec, config.initial, steps, config.realizations, config.master_seed
-        )
-        stem = f"fig3_theta_high_t{steps}"
-        name = _data_name(stem, config.format)
-        value_name = "p" if config.realizations == 1 else "p_mean"
-        _write_distribution(out_dir / name, config.format, dist, value_name)
-        metrics[stem] = _metrics_payload(
-            dist, "theta-high", config.master_seed, config.realizations,
-            mean_variance, stats, ref_var, DEFAULT_REFERENCE_THETA,
+        name = f"{panel.stem}.{config.format}"
+        metrics[panel.stem] = _run_panel(
+            config, out_dir / name, spec, panel.preset, panel.steps, realizations, walks,
+            panel.classical,
         )
         outputs.append(name)
-    _write_json(out_dir / "fig3_metrics.json", metrics)
-    _write_meta(out_dir / "fig3_meta.json", config, [*outputs, "fig3_metrics.json"])
-    return 0
+    return metrics, outputs
 
 
-def _recipe_fig4(config: ExperimentConfig, out_dir: Path) -> int:
+def _recipe_fig4(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[str]]:
     steps = 400
     reference_thetas = (math.pi / 6, math.pi / 4, math.pi / 3)
     spec = preset_spec("theta-high")
@@ -551,10 +482,8 @@ def _recipe_fig4(config: ExperimentConfig, out_dir: Path) -> int:
     metrics: dict[str, dict] = {}
     rows: list[tuple[int, float, float]] = []
     for theta in reference_thetas:
-        zero = ParameterRange(0.0, 0.0)
-        ref_spec = DisorderSpec(zero, ParameterRange(theta, theta), zero, mode=ORDERED)
         ref_stats = run_ensemble(
-            ref_spec, config.initial, steps, 1, config.master_seed, track_per_step=True
+            _ordered_spec(theta), config.initial, steps, 1, config.master_seed, track_per_step=True
         )
         ref_sigma = np.sqrt(ref_stats.per_step_variance)
         ratios = {}
@@ -570,8 +499,7 @@ def _recipe_fig4(config: ExperimentConfig, out_dir: Path) -> int:
             "loc_length": ratios,
         }
 
-    stem = "fig4_loc_length"
-    name = _data_name(stem, config.format)
+    name = f"fig4_loc_length.{config.format}"
     if config.format == "csv":
         lines = ["t,theta_ref,loc_length"]
         lines.extend(f"{t},{_fmt(theta)},{_fmt(ratio)}" for t, theta, ratio in rows)
@@ -585,17 +513,7 @@ def _recipe_fig4(config: ExperimentConfig, out_dir: Path) -> int:
                 "loc_length": [row[2] for row in rows],
             },
         )
-    _write_json(out_dir / "fig4_metrics.json", metrics)
-    _write_meta(out_dir / "fig4_meta.json", config, [name, "fig4_metrics.json"])
-    return 0
-
-
-_RECIPES = {
-    "fig1": _recipe_fig1,
-    "fig2": _recipe_fig2,
-    "fig3": _recipe_fig3,
-    "fig4": _recipe_fig4,
-}
+    return metrics, [name]
 
 
 def run_experiment(config: ExperimentConfig) -> int:
@@ -606,11 +524,22 @@ def run_experiment(config: ExperimentConfig) -> int:
     filesystem problems; the ``main`` wrapper maps those to exit statuses 2,
     2 and 1.
     """
-    if config.recipe is not None:
-        out_dir = config.output_path
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _RECIPES[config.recipe](config, out_dir)
-    return _run_plain(config)
+    out = config.output_path
+    if config.recipe is None:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        payload = _run_panel(
+            config, out, config.spec, config.preset, config.steps, config.realizations, {}
+        )
+        _write_json(out.with_suffix(".metrics.json"), payload)
+        _write_meta(out.with_suffix(".meta.json"), config, [out.name])
+        return 0
+    out.mkdir(parents=True, exist_ok=True)
+    run_recipe = _recipe_fig4 if config.recipe == "fig4" else _recipe_panels
+    metrics, outputs = run_recipe(config, out)
+    metrics_name = f"{config.recipe}_metrics.json"
+    _write_json(out / metrics_name, metrics)
+    _write_meta(out / f"{config.recipe}_meta.json", config, [*outputs, metrics_name])
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

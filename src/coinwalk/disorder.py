@@ -80,29 +80,21 @@ class ParameterRange:
 
 @dataclass(frozen=True)
 class DisorderSpec:
-    """Sampling ranges for the three coin angles, plus the schedule mode.
+    """Sampling ranges for the three coin angles.
 
-    ``mode`` is ``"ordered"`` (every step uses the one triple that the
-    degenerate ranges pin down) or ``"per-step-random"`` (fresh independent
-    draw per step).
+    ``mode`` is derived from the ranges: ``"ordered"`` when all three are
+    degenerate (every step uses the one triple they pin down), otherwise
+    ``"per-step-random"`` (fresh independent draw per step).
     """
 
     xi_range: ParameterRange
     theta_range: ParameterRange
     zeta_range: ParameterRange
-    mode: str = PER_STEP_RANDOM
 
-    def __post_init__(self) -> None:
-        if self.mode not in (ORDERED, PER_STEP_RANDOM):
-            raise InvalidParameterError(
-                f"mode must be {ORDERED!r} or {PER_STEP_RANDOM!r}, got {self.mode!r}"
-            )
-        if self.mode == ORDERED and not (
-            self.xi_range.is_degenerate
-            and self.theta_range.is_degenerate
-            and self.zeta_range.is_degenerate
-        ):
-            raise InvalidParameterError("ordered mode requires degenerate ranges (low == high)")
+    @property
+    def mode(self) -> str:
+        ranges = (self.xi_range, self.theta_range, self.zeta_range)
+        return ORDERED if all(r.is_degenerate for r in ranges) else PER_STEP_RANDOM
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,13 +130,13 @@ def preset_spec(name: str) -> DisorderSpec:
     full = ParameterRange(0.0, _HALF_PI)
     if name == "hadamard-ordered":
         zero = ParameterRange(0.0, 0.0)
-        return DisorderSpec(zero, ParameterRange(_QUARTER_PI, _QUARTER_PI), zero, mode=ORDERED)
+        return DisorderSpec(zero, ParameterRange(_QUARTER_PI, _QUARTER_PI), zero)
     if name == "full-range":
-        return DisorderSpec(full, full, full, mode=PER_STEP_RANDOM)
+        return DisorderSpec(full, full, full)
     if name == "theta-low":
-        return DisorderSpec(full, ParameterRange(0.0, _QUARTER_PI), full, mode=PER_STEP_RANDOM)
+        return DisorderSpec(full, ParameterRange(0.0, _QUARTER_PI), full)
     if name == "theta-high":
-        return DisorderSpec(full, ParameterRange(_QUARTER_PI, _HALF_PI), full, mode=PER_STEP_RANDOM)
+        return DisorderSpec(full, ParameterRange(_QUARTER_PI, _HALF_PI), full)
     raise InvalidParameterError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
 
 
@@ -155,12 +147,20 @@ def derive_stream_seed(master_seed: int, realization_index: int) -> int:
     where g is the 64-bit golden-gamma constant.  For a fixed index the map
     is a bijection on 64-bit integers, and distinct indices give distinct,
     statistically unrelated streams.  ``master_seed`` is reduced mod 2**64.
+
+    Raises
+    ------
+    InvalidParameterError
+        If either argument is not an integer, or ``realization_index`` is
+        negative.
     """
+    master_seed = exact_int("master_seed", master_seed)
+    realization_index = exact_int("realization_index", realization_index)
     if realization_index < 0:
         raise InvalidParameterError(
             f"realization_index must be >= 0, got {realization_index}"
         )
-    z = (int(master_seed) + (int(realization_index) + 1) * _GOLDEN_GAMMA) & _MASK64
+    z = (master_seed + (realization_index + 1) * _GOLDEN_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -193,8 +193,8 @@ def sample_schedule(
     Raises
     ------
     InvalidParameterError
-        If ``steps`` is not an integer, or ``steps`` or
-        ``realization_index`` is negative.
+        If ``steps``, ``master_seed`` or ``realization_index`` is not an
+        integer, or ``steps`` or ``realization_index`` is negative.
     """
     steps = exact_int("steps", steps)
     if steps < 0:

@@ -101,6 +101,11 @@ class TestDistributionFromState:
         with pytest.raises(NormDriftError):
             distribution_from_state(state)
 
+    def test_nan_total_rejected(self):
+        state = evolve(build_initial_state(SYM, 3), np.full((3, 2, 2), np.nan, dtype=complex))
+        with pytest.raises(NormDriftError):
+            distribution_from_state(state)
+
     def test_distribution_validation(self):
         with pytest.raises(InvalidParameterError):
             PositionDistribution(t=1, p=np.array([0.5, 0.5]))  # even length
@@ -232,11 +237,6 @@ class TestRunMetrics:
     def test_std_dev_squares_to_variance(self):
         m = metrics_from_distribution(ordered_distribution(QUARTER_PI, 60))
         assert m.std_dev**2 == pytest.approx(m.variance, rel=1e-9)
-        assert m.loc_length_ratio is None
-
-    def test_ratio_is_carried_through(self):
-        m = metrics_from_distribution(ordered_distribution(QUARTER_PI, 10), loc_length_ratio=0.2)
-        assert m.loc_length_ratio == 0.2
 
 
 class TestRunEnsemble:

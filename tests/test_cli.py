@@ -1,5 +1,6 @@
 """Tests for config parsing, output files, and reproducibility of the CLI."""
 
+import hashlib
 import json
 import math
 
@@ -131,6 +132,13 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
 
+    def test_non_string_out_in_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": 5}))
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out") and err.count("\n") == 1
+
     def test_unwritable_path_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("plain file")
@@ -170,6 +178,13 @@ class TestSingleRunOutputs:
         main(["--steps", "20", "--out", str(out)])
         metrics = json.loads((tmp_path / "run.metrics.json").read_text())
         assert "loc_length_ratio" not in metrics
+
+    def test_degenerate_range_override_has_no_reference_block(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["--theta-range", "0.3:0.3", "--steps", "20", "--out", str(out)]) == 0
+        metrics = json.loads((tmp_path / "run.metrics.json").read_text())
+        assert metrics["preset"] is None
+        assert "reference_variance" not in metrics and "loc_length_ratio" not in metrics
 
     def test_metrics_variance_round_trips_through_csv(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -270,6 +285,39 @@ class TestRecipes:
         assert np.all(cols["loc_length"] > 0)
 
 
+def count_walks(monkeypatch):
+    """Record every walk the CLI starts, one entry per call."""
+    walks = []
+    for name in ("evolve_disordered", "run_ensemble"):
+        def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            walks.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return walks
+
+
+class TestWalkCounts:
+    @pytest.mark.parametrize(
+        "recipe, expected", [("fig1", 1), ("fig2", 4), ("fig3", 6), ("fig4", 4)]
+    )
+    def test_recipe_reuses_its_ordered_panels_as_reference(
+        self, tmp_path, monkeypatch, recipe, expected
+    ):
+        walks = count_walks(monkeypatch)
+        assert main(["--recipe", recipe, "--realizations", "2", "--out", str(tmp_path)]) == 0
+        assert len(walks) == expected
+
+    @pytest.mark.parametrize("preset, expected", [("hadamard-ordered", 1), ("theta-high", 2)])
+    def test_plain_run_adds_the_reference_walk_only_when_disordered(
+        self, tmp_path, monkeypatch, preset, expected
+    ):
+        walks = count_walks(monkeypatch)
+        args = ["--preset", preset, "--steps", "20", "--out", str(tmp_path / "run.csv")]
+        assert main(args) == 0
+        assert len(walks) == expected
+
+
 class TestReproducibility:
     def test_identical_configs_give_identical_bytes(self, tmp_path):
         args = ["--preset", "full-range", "--steps", "50", "--seed", "12", "--realizations", "3"]
@@ -282,3 +330,141 @@ class TestReproducibility:
             out_a.with_suffix(".metrics.json").read_bytes()
             == out_b.with_suffix(".metrics.json").read_bytes()
         )
+
+
+PINNED_RUNS = {
+    f"{fig}-{fmt}-r{r}": ["--recipe", fig, "--format", fmt, "--realizations", str(r), "--seed", "5"]
+    for fig in cli.RECIPE_NAMES
+    for fmt in ("csv", "json")
+    for r in (1, 3)
+}
+PINNED_RUNS["plain-ordered-r2"] = ["--steps", "50", "--realizations", "2", "--seed", "5"]
+PINNED_RUNS["plain-theta-high-r3"] = [
+    "--preset", "theta-high", "--steps", "50", "--realizations", "3", "--seed", "5",
+]
+
+# SHA-256 of every data and metrics file of PINNED_RUNS, captured before
+# fig1-fig3 and the plain run shared one panel runner, with numpy 2.4.6 and
+# its bundled OpenBLAS on a 2-vCPU x86-64 host.  Another BLAS build may round
+# the last bits of a walk differently; recapture the table there rather than
+# loosen the comparison.
+OUTPUT_DIGESTS = {
+    "fig1-csv-r1": {
+        "fig1_full_range_t100.csv": "138c58c35906e495236c95fb2492280f24ce0b4d5ef87200f56b9b6edd6000f3",
+        "fig1_metrics.json": "b9e208be4fa4cb58df76b90cb06664c93c396f873156ef2c40bc3ff2fc21a3fe",
+    },
+    "fig1-csv-r3": {
+        "fig1_full_range_t100.csv": "7d28d4fd14ac6a6b95546517bbd6b0d23e1ede6beec6124e7faf35b57e4cfef3",
+        "fig1_metrics.json": "191da10f4ecac9f8469418243bbf78f2395bcf4f7a8abebc10150d136afa2739",
+    },
+    "fig1-json-r1": {
+        "fig1_full_range_t100.json": "d4f8951bc25cfc198e0587818d4a59e39f0cd39e7aa3e857419e33b078d21818",
+        "fig1_metrics.json": "b9e208be4fa4cb58df76b90cb06664c93c396f873156ef2c40bc3ff2fc21a3fe",
+    },
+    "fig1-json-r3": {
+        "fig1_full_range_t100.json": "b560db73f6312d37ab2cf91cc8b149bdbf5fd10251c792e140bce83af326f0b6",
+        "fig1_metrics.json": "191da10f4ecac9f8469418243bbf78f2395bcf4f7a8abebc10150d136afa2739",
+    },
+    "fig2-csv-r1": {
+        "fig2_metrics.json": "81dc43a61231f1ce17bffedbde50ecb48007448795ec47a4fc1e64128c6fa5ee",
+        "fig2a_hadamard_ordered_t200.csv": "87c377a34ff83925f6dc5a84730c6c4482268f234ffdd52eea8bc03936b08002",
+        "fig2b_full_range_t200.csv": "5b5cd494512ebca89d4b4905dab10fe3cc056d5e1ea789ad2650bfd53b85c25a",
+        "fig2c_theta_low_t200.csv": "0f2659c8daa2051d23cdfc209922bfc43ea729d2e7b5c9386bb0b3d0e45997d2",
+        "fig2d_theta_high_t200.csv": "0ae031f818906488512dca8bc9bb217c65dd323a956c219d14b7cf507001c2c6",
+    },
+    "fig2-csv-r3": {
+        "fig2_metrics.json": "745243eaf9a4fe33a07a6a9029db75c2055c09046754315e443f9af572f5d5f3",
+        "fig2a_hadamard_ordered_t200.csv": "87c377a34ff83925f6dc5a84730c6c4482268f234ffdd52eea8bc03936b08002",
+        "fig2b_full_range_t200.csv": "09eb217dbeaff2b4501a8493436a8d63758e3ce3c25251d33c217ec0d4472814",
+        "fig2c_theta_low_t200.csv": "2148771aea4223c7937772ecc2fc7283f7280a913f9d7edbecfa6fb668375089",
+        "fig2d_theta_high_t200.csv": "5ba0105659b51221c65288eca4c6d88bc814f7737e29459b76f0f0154ee3f076",
+    },
+    "fig2-json-r1": {
+        "fig2_metrics.json": "81dc43a61231f1ce17bffedbde50ecb48007448795ec47a4fc1e64128c6fa5ee",
+        "fig2a_hadamard_ordered_t200.json": "4d77ec8c5ff9bcf7bf9e18150e858a2bc98db045111d7c3e14a39bd386868454",
+        "fig2b_full_range_t200.json": "881bbdf5919de9ef99cafb6c9df56e6cfa44b71175a1051f2b1e46958871ebfb",
+        "fig2c_theta_low_t200.json": "343a1e28a14f74e4177a08a01fbee049afe5d1879bc04ab7e1f013df65b877c0",
+        "fig2d_theta_high_t200.json": "551de21a39646214974e55b238eaeb87043ee937dc7e25caa6f7ddf89093207d",
+    },
+    "fig2-json-r3": {
+        "fig2_metrics.json": "745243eaf9a4fe33a07a6a9029db75c2055c09046754315e443f9af572f5d5f3",
+        "fig2a_hadamard_ordered_t200.json": "4d77ec8c5ff9bcf7bf9e18150e858a2bc98db045111d7c3e14a39bd386868454",
+        "fig2b_full_range_t200.json": "bac993272cc503932bace0167e3c2c0eb04a156d7973679c47962af2afc4965d",
+        "fig2c_theta_low_t200.json": "5fd31f648a9649c07b088b55c335cf099447b4c697b3083dc16d1fd1ad4984d3",
+        "fig2d_theta_high_t200.json": "bdcc5f9eea46c01a70efc8f72d18f56352208c6a1b810978933a0218c32cd3f9",
+    },
+    "fig3-csv-r1": {
+        "fig3_hadamard_t100.csv": "8818924999d7c8aa91e1330ceec58b32247ab3829bf2b5b8528ed030908940cb",
+        "fig3_hadamard_t200.csv": "87c377a34ff83925f6dc5a84730c6c4482268f234ffdd52eea8bc03936b08002",
+        "fig3_hadamard_t400.csv": "a8bcbec0c1409213dc79ddf38a795cc106bacc0675947c7cac1f651d57d9bf7a",
+        "fig3_metrics.json": "e16069a6287fc0f26ebdcd17cb9c654812203d552f392ed16f0d5f61f294a073",
+        "fig3_theta_high_t100.csv": "7bb994729ece5680a155ba7821990dee910ed68362fd7a4910e38af028148aea",
+        "fig3_theta_high_t200.csv": "0ae031f818906488512dca8bc9bb217c65dd323a956c219d14b7cf507001c2c6",
+        "fig3_theta_high_t400.csv": "09d6d725de05d638015816ea8fe6980831ebe4e964ac526487fbfc236dd6a163",
+    },
+    "fig3-csv-r3": {
+        "fig3_hadamard_t100.csv": "8818924999d7c8aa91e1330ceec58b32247ab3829bf2b5b8528ed030908940cb",
+        "fig3_hadamard_t200.csv": "87c377a34ff83925f6dc5a84730c6c4482268f234ffdd52eea8bc03936b08002",
+        "fig3_hadamard_t400.csv": "a8bcbec0c1409213dc79ddf38a795cc106bacc0675947c7cac1f651d57d9bf7a",
+        "fig3_metrics.json": "2a529c3f523e0270d9a253b673449210810463895abd619935275179fccf5737",
+        "fig3_theta_high_t100.csv": "fb7041f813eb518c0d220dc6c590228e779ad24d23e033c8318a4a1bd1221c23",
+        "fig3_theta_high_t200.csv": "5ba0105659b51221c65288eca4c6d88bc814f7737e29459b76f0f0154ee3f076",
+        "fig3_theta_high_t400.csv": "0c225a608677818790583b8afc3df27d22b0a735527a705385f0e698a36285df",
+    },
+    "fig3-json-r1": {
+        "fig3_hadamard_t100.json": "d4e557e84cae69ea6f5c22e0f0864753f09a7248ff5035c4381531e1ed491d96",
+        "fig3_hadamard_t200.json": "4d77ec8c5ff9bcf7bf9e18150e858a2bc98db045111d7c3e14a39bd386868454",
+        "fig3_hadamard_t400.json": "e6538ed00010d0528e464da2cf0c7f5ffa2e95d30354e802b6bef4f91e48a4b0",
+        "fig3_metrics.json": "e16069a6287fc0f26ebdcd17cb9c654812203d552f392ed16f0d5f61f294a073",
+        "fig3_theta_high_t100.json": "7c427c0aa0260d56c40be61c3a3004f1bda211ad318421376ca709cc144f6b46",
+        "fig3_theta_high_t200.json": "551de21a39646214974e55b238eaeb87043ee937dc7e25caa6f7ddf89093207d",
+        "fig3_theta_high_t400.json": "6cde9a4e78df638274658dd88cd10934c90764083cf73458adc67a23ee539479",
+    },
+    "fig3-json-r3": {
+        "fig3_hadamard_t100.json": "d4e557e84cae69ea6f5c22e0f0864753f09a7248ff5035c4381531e1ed491d96",
+        "fig3_hadamard_t200.json": "4d77ec8c5ff9bcf7bf9e18150e858a2bc98db045111d7c3e14a39bd386868454",
+        "fig3_hadamard_t400.json": "e6538ed00010d0528e464da2cf0c7f5ffa2e95d30354e802b6bef4f91e48a4b0",
+        "fig3_metrics.json": "2a529c3f523e0270d9a253b673449210810463895abd619935275179fccf5737",
+        "fig3_theta_high_t100.json": "c3271390db87209eca12d8e379c6623669a468efda47ded9bd7f0fc3ee7834c5",
+        "fig3_theta_high_t200.json": "bdcc5f9eea46c01a70efc8f72d18f56352208c6a1b810978933a0218c32cd3f9",
+        "fig3_theta_high_t400.json": "5e34204030773e55cdfba20620aa9d63ad7a59bc5d721b1ad4144d49fa06794b",
+    },
+    "fig4-csv-r1": {
+        "fig4_loc_length.csv": "e124c43b4b5511c7853c0c030ddb771b51f41c1471104cb67958aaa7f0987838",
+        "fig4_metrics.json": "52590e22bfa76828bd1cafbd665e90d6818eafe34ba2fe1928f3212bbbb64955",
+    },
+    "fig4-csv-r3": {
+        "fig4_loc_length.csv": "cf84fa9691e56552ac18124ed971f9bd57d0189e1d43a5d217f37c24c767d9b6",
+        "fig4_metrics.json": "afbd537c5cc864b34e876f80063ad2d872e7b268e65f78f0cec4e0618ca47dc4",
+    },
+    "fig4-json-r1": {
+        "fig4_loc_length.json": "ee750ef845d4f3fe48df5467fb6c126490aa6b45e0a142b2aadecd0fe4333b6f",
+        "fig4_metrics.json": "52590e22bfa76828bd1cafbd665e90d6818eafe34ba2fe1928f3212bbbb64955",
+    },
+    "fig4-json-r3": {
+        "fig4_loc_length.json": "a70cd407d46a1881a072abaa5051c61435c1ad3beec604c027b73045f273b54c",
+        "fig4_metrics.json": "afbd537c5cc864b34e876f80063ad2d872e7b268e65f78f0cec4e0618ca47dc4",
+    },
+    "plain-ordered-r2": {
+        "run.csv": "8fc38cda5ebfb746c95464aca9f79d037cfaa1c3a8ea1d772cf3b484d0363f17",
+        "run.metrics.json": "b141af03cb4ec4dbd3e854d2746df8ba0a3a739ec62d2e6bd3a6f72160b334e8",
+    },
+    "plain-theta-high-r3": {
+        "run.csv": "ed7a59894f771b07b26dc74c5008d44a82b57d8b517d125e5455b9de5b7111bc",
+        "run.metrics.json": "6a6bc72593587516fa8dd886698df6a4c62c90b15ea9183c81c0671760ab7987",
+    },
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+    def test_data_and_metrics_files_are_byte_identical(self, tmp_path, case):
+        args = PINNED_RUNS[case]
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out if "--recipe" in args else out / "run.csv")]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())
+            if not path.name.endswith("meta.json")
+        }
+        assert digests == OUTPUT_DIGESTS[case]

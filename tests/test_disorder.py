@@ -59,16 +59,21 @@ class TestParameterRange:
 
 
 class TestDisorderSpec:
-    def test_ordered_mode_requires_degenerate_ranges(self):
+    def test_degenerate_ranges_are_ordered(self):
+        zero = ParameterRange(0.0, 0.0)
+        assert DisorderSpec(zero, zero, zero).mode == ORDERED
+        assert DisorderSpec(zero, ParameterRange(0.3, 0.3), zero).mode == ORDERED
+
+    def test_any_wide_range_is_per_step_random(self):
         zero = ParameterRange(0.0, 0.0)
         wide = ParameterRange(0.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            DisorderSpec(zero, wide, zero, mode=ORDERED)
+        for ranges in ((wide, zero, zero), (zero, wide, zero), (zero, zero, wide)):
+            assert DisorderSpec(*ranges).mode == PER_STEP_RANDOM
 
-    def test_unknown_mode_rejected(self):
+    def test_mode_is_not_settable(self):
         zero = ParameterRange(0.0, 0.0)
-        with pytest.raises(InvalidParameterError):
-            DisorderSpec(zero, zero, zero, mode="sometimes")
+        with pytest.raises(TypeError):
+            DisorderSpec(zero, zero, zero, mode=ORDERED)
 
 
 class TestPresets:
@@ -110,6 +115,23 @@ class TestSeedMixer:
         with pytest.raises(InvalidParameterError):
             derive_stream_seed(0, -1)
 
+    @pytest.mark.parametrize(
+        "seed, index, named",
+        [
+            (2.0, 0, "master_seed"),
+            (True, 0, "master_seed"),
+            (0, 1.0, "realization_index"),
+            (0, True, "realization_index"),
+        ],
+        ids=["float-seed", "boolean-seed", "float-index", "boolean-index"],
+    )
+    def test_inexact_seed_or_index_rejected(self, seed, index, named):
+        with pytest.raises(InvalidParameterError, match=f"{named} must be an integer"):
+            derive_stream_seed(seed, index)
+
+    def test_numpy_integers_mix_like_python_integers(self):
+        assert derive_stream_seed(np.uint64(42), np.int64(1)) == MIXER_PINS[(42, 1)]
+
     def test_streams_distinct_across_indices(self):
         seeds = {derive_stream_seed(1234, r) for r in range(10_000)}
         assert len(seeds) == 10_000
@@ -123,7 +145,7 @@ class TestSampleSchedule:
 
     def test_degenerate_ranges_give_identical_entries(self):
         zero = ParameterRange(0.0, 0.0)
-        spec = DisorderSpec(zero, ParameterRange(QUARTER_PI, QUARTER_PI), zero, mode=ORDERED)
+        spec = DisorderSpec(zero, ParameterRange(QUARTER_PI, QUARTER_PI), zero)
         schedule = sample_schedule(spec, 5, master_seed=7)
         assert len(schedule) == 5
         assert same_bits(schedule.params, np.tile([0.0, QUARTER_PI, 0.0], (5, 1)))
@@ -161,6 +183,14 @@ class TestSampleSchedule:
     def test_inexact_steps_rejected(self, steps):
         with pytest.raises(InvalidParameterError, match="steps must be an integer"):
             sample_schedule(preset_spec("full-range"), steps, master_seed=0)
+
+    @pytest.mark.parametrize(
+        "seed, index", [(2.9, 0), (True, 0), (2, 1.5), (2, True)],
+        ids=["float-seed", "boolean-seed", "float-index", "boolean-index"],
+    )
+    def test_inexact_seed_or_index_rejected(self, seed, index):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            sample_schedule(preset_spec("full-range"), 5, seed, index)
 
     def test_numpy_integer_steps_accepted(self):
         spec = preset_spec("full-range")
