@@ -26,21 +26,18 @@ from coinwalk.core import (
     CoinParams,
     InitialStateParams,
     WalkState,
-    build_coin_matrix,
     build_initial_state,
     check_state,
     coin_matrices,
     evolve,
     evolve_in_place,
     evolve_ordered,
-    step,
 )
 from coinwalk.disorder import (
     ORDERED,
     PER_STEP_RANDOM,
     PRESET_NAMES,
     SEED_MIXER_ID,
-    CoinSchedule,
     DisorderSpec,
     ParameterRange,
     derive_stream_seed,
@@ -64,11 +61,9 @@ __all__ = [
     "InitialStateParams",
     "WalkState",
     "coin_matrices",
-    "build_coin_matrix",
     "build_initial_state",
     "evolve_in_place",
     "evolve",
-    "step",
     "evolve_ordered",
     "check_state",
     # disorder
@@ -78,7 +73,6 @@ __all__ = [
     "SEED_MIXER_ID",
     "ParameterRange",
     "DisorderSpec",
-    "CoinSchedule",
     "preset_spec",
     "derive_stream_seed",
     "sample_schedule",

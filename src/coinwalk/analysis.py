@@ -19,6 +19,7 @@ from coinwalk.core import (
     build_initial_state,
     coin_matrices,
     evolve_in_place,
+    exact_count,
     exact_int,
 )
 from coinwalk.disorder import DisorderSpec, sample_schedule
@@ -63,6 +64,8 @@ class PositionDistribution:
             raise InvalidParameterError(
                 f"p must be a 1-D array of odd length, got shape {p.shape}"
             )
+        if not np.all(np.isfinite(p)):
+            raise InvalidParameterError("probabilities must be finite")
         if np.any(p < 0):
             raise InvalidParameterError("probabilities must be non-negative")
         object.__setattr__(self, "p", p)
@@ -164,9 +167,7 @@ def classical_rw_distribution(steps: int) -> PositionDistribution:
     and rounded once on division, so the variance equals t to machine
     precision.
     """
-    steps = exact_int("steps", steps)
-    if steps < 0:
-        raise InvalidParameterError(f"steps must be >= 0, got {steps}")
+    steps = exact_count("steps", steps)
     p = np.zeros(2 * steps + 1, dtype=np.float64)
     denom = 1 << steps
     for k in range(steps + 1):
@@ -185,16 +186,17 @@ def localization_length(sigma_disordered: float, sigma_ordered: float) -> float:
     Raises
     ------
     InvalidParameterError
-        If the ordered spread is not positive or the disordered one is
-        negative.
+        If either spread is not finite, the ordered spread is not positive
+        or the disordered one is negative.
     """
-    if sigma_ordered <= 0:
+    # written so that NaN fails too
+    if not 0 < sigma_ordered < math.inf:
         raise InvalidParameterError(
-            f"ordered spread must be > 0, got {sigma_ordered!r}"
+            f"ordered spread must be finite and > 0, got {sigma_ordered!r}"
         )
-    if sigma_disordered < 0:
+    if not 0 <= sigma_disordered < math.inf:
         raise InvalidParameterError(
-            f"disordered spread must be >= 0, got {sigma_disordered!r}"
+            f"disordered spread must be finite and >= 0, got {sigma_disordered!r}"
         )
     return sigma_disordered / sigma_ordered
 
@@ -208,12 +210,17 @@ def spreading_exponent(series: list[tuple[float, float]]) -> float:
     Parameters
     ----------
     series : list of (t, variance)
-        At least 3 points with t >= 1 and variance > 0.
+        At least 3 points with finite t >= 1 and finite variance > 0, at no
+        fewer than 2 distinct t.
     """
     if len(series) < 3:
         raise InvalidParameterError(f"need at least 3 points, got {len(series)}")
     t = np.array([point[0] for point in series], dtype=np.float64)
     v = np.array([point[1] for point in series], dtype=np.float64)
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise InvalidParameterError("every t and variance must be finite")
+    if np.unique(t).size < 2:
+        raise InvalidParameterError("need at least 2 distinct t")
     if np.any(t < 1):
         raise InvalidParameterError("every t must be >= 1")
     if np.any(v <= 0):
@@ -270,12 +277,10 @@ def run_ensemble(
         If a realization's total probability deviates from 1 by more than
         ``NORM_DRIFT_LIMIT``.
     """
-    steps = exact_int("steps", steps)
+    steps = exact_count("steps", steps)
     realizations = exact_int("realizations", realizations)
     if realizations < 1:
         raise InvalidParameterError(f"realizations must be >= 1, got {realizations}")
-    if steps < 0:
-        raise InvalidParameterError(f"steps must be >= 0, got {steps}")
     width = 2 * steps + 1
     positions = np.arange(-steps, steps + 1, dtype=np.float64)
     positions_squared = positions * positions
@@ -297,9 +302,7 @@ def run_ensemble(
     observe = record_variance if track_per_step else None
     for first in range(0, realizations, chunk):
         indices = range(first, min(first + chunk, realizations))
-        params = np.stack(
-            [sample_schedule(spec, steps, master_seed, r).params for r in indices], axis=1
-        )
+        params = np.stack([sample_schedule(spec, steps, master_seed, r) for r in indices], axis=1)
         coins = coin_matrices(params.reshape(-1, 3)).reshape(steps, len(indices), 2, 2)
         amps = amps_buf[: len(indices)]
         amps[...] = start_amps

@@ -153,7 +153,17 @@ def _exact_int(flag: str, value) -> int:
         raise UsageError(str(exc)) from None
 
 
-def _load_config_file(path: str) -> dict:
+def _real(flag: str, value) -> float:
+    # float(True) would silently give 1.0
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise UsageError(f"{flag} must be a number, got {value!r}")
+
+
+def _load_config_file(path: str, known: set[str]) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -164,10 +174,6 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"--config: {path!r} is not valid JSON ({exc})") from None
     if not isinstance(values, dict):
         raise UsageError(f"--config: {path!r} must hold a JSON object")
-    known = {
-        "steps", "preset", "xi_range", "theta_range", "zeta_range",
-        "delta", "phi", "realizations", "seed", "recipe", "out", "format",
-    }
     normalized = {}
     for key, value in values.items():
         name = str(key).replace("-", "_")
@@ -192,7 +198,9 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         From argparse, on unknown flags or non-numeric numbers.
     """
     ns = build_parser().parse_args(argv)
-    file_values = _load_config_file(ns.config) if ns.config else {}
+    # every flag but --config may also come from the file
+    known = vars(ns).keys() - {"config"}
+    file_values = _load_config_file(ns.config, known) if ns.config else {}
 
     def pick(name: str):
         flag_value = getattr(ns, name, None)
@@ -224,11 +232,8 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     steps = _exact_int("--steps", pick("steps"))
     realizations = _exact_int("--realizations", pick("realizations"))
     master_seed = _exact_int("--seed", pick("seed"))
-    try:
-        delta = float(pick("delta"))
-        phi = float(pick("phi"))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"malformed numeric value: {exc}") from None
+    delta = _real("--delta", pick("delta"))
+    phi = _real("--phi", pick("phi"))
     if steps < 1:
         raise UsageError(f"--steps must be >= 1, got {steps}")
     if realizations < 1:

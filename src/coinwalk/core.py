@@ -25,11 +25,9 @@ __all__ = [
     "InitialStateParams",
     "WalkState",
     "coin_matrices",
-    "build_coin_matrix",
     "build_initial_state",
     "evolve_in_place",
     "evolve",
-    "step",
     "evolve_ordered",
     "check_state",
 ]
@@ -59,6 +57,14 @@ def exact_int(name: str, value) -> int:
         except TypeError:
             pass
     raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def exact_count(name: str, value) -> int:
+    """Return ``value`` as an int if it is an exact integer >= 0; see :func:`exact_int`."""
+    out = exact_int(name, value)
+    if out < 0:
+        raise InvalidParameterError(f"{name} must be >= 0, got {out}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -112,15 +118,15 @@ class WalkState:
     steps_taken: int = 0
 
     def __post_init__(self) -> None:
-        if self.t_max < 0:
-            raise InvalidParameterError(f"t_max must be >= 0, got {self.t_max}")
+        self.t_max = exact_count("t_max", self.t_max)
+        self.steps_taken = exact_count("steps_taken", self.steps_taken)
         expected = (2, 2 * self.t_max + 1)
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
         if self.amplitudes.shape != expected:
             raise InvalidParameterError(
                 f"amplitudes must have shape {expected}, got {self.amplitudes.shape}"
             )
-        if not 0 <= self.steps_taken <= self.t_max:
+        if self.steps_taken > self.t_max:
             raise InvalidParameterError(
                 f"steps_taken must lie in [0, t_max={self.t_max}], got {self.steps_taken}"
             )
@@ -187,11 +193,6 @@ def coin_matrices(params) -> np.ndarray:
     return coins
 
 
-def build_coin_matrix(params: CoinParams) -> np.ndarray:
-    """Return the (2, 2) coin matrix of one angle triple; see :func:`coin_matrices`."""
-    return coin_matrices([(params.xi, params.theta, params.zeta)])[0]
-
-
 def build_initial_state(params: InitialStateParams, t_max: int) -> WalkState:
     """Place the walker at the origin of a lattice of half-width ``t_max``.
 
@@ -204,9 +205,7 @@ def build_initial_state(params: InitialStateParams, t_max: int) -> WalkState:
     InvalidParameterError
         If ``t_max`` is negative or not an integer.
     """
-    t_max = exact_int("t_max", t_max)
-    if t_max < 0:
-        raise InvalidParameterError(f"t_max must be >= 0, got {t_max}")
+    t_max = exact_count("t_max", t_max)
     amps = np.zeros((2, 2 * t_max + 1), dtype=np.complex128)
     half = params.delta / 2.0
     amps[0, t_max] = math.cos(half)
@@ -273,8 +272,7 @@ def evolve_in_place(
         raise InvalidParameterError(
             f"coins must have shape (steps, {', '.join(map(str, per_step))}), got {coins.shape}"
         )
-    if exact_int("steps_taken", steps_taken) < 0:
-        raise InvalidParameterError(f"steps_taken must be >= 0, got {steps_taken}")
+    steps_taken = exact_count("steps_taken", steps_taken)
     t_max = amps.shape[-1] // 2
     if steps_taken + len(coins) > t_max:
         raise CapacityError(
@@ -335,19 +333,6 @@ def evolve(
     return WalkState(state.t_max, amps, state.steps_taken + len(coins))
 
 
-def step(state: WalkState, coin: np.ndarray) -> WalkState:
-    """Advance the walk by one step with one (2, 2) coin; see :func:`evolve`.
-
-    Raises
-    ------
-    CapacityError
-        If the state has already taken ``t_max`` steps.
-    InvalidParameterError
-        If ``coin`` is not a 2x2 matrix.
-    """
-    return evolve(state, np.asarray(coin, dtype=np.complex128)[np.newaxis])
-
-
 def evolve_ordered(initial: WalkState, coin: CoinParams, steps: int) -> WalkState:
     """Apply the same coin operation for ``steps`` consecutive steps.
 
@@ -358,22 +343,25 @@ def evolve_ordered(initial: WalkState, coin: CoinParams, steps: int) -> WalkStat
     InvalidParameterError
         If ``steps`` is negative or not an integer.
     """
-    steps = exact_int("steps", steps)
-    if steps < 0:
-        raise InvalidParameterError(f"steps must be >= 0, got {steps}")
-    return evolve(initial, np.broadcast_to(build_coin_matrix(coin), (steps, 2, 2)))
+    steps = exact_count("steps", steps)
+    matrix = coin_matrices([(coin.xi, coin.theta, coin.zeta)])
+    return evolve(initial, np.broadcast_to(matrix, (steps, 2, 2)))
 
 
-def check_state(state: WalkState, norm_tol: float = 1e-10) -> None:
+#: Largest |norm - 1| that :func:`check_state` accepts.
+_CHECK_NORM_TOL = 1e-10
+
+
+def check_state(state: WalkState) -> None:
     """Assert the structural invariants of a walk state.
 
-    Checks the norm budget, the light cone (zero amplitude beyond
+    Checks the norm to within 1e-10, the light cone (zero amplitude beyond
     |x| = steps_taken) and the parity rule (exact zeros wherever
     x + steps_taken is odd).  Intended for tests and verification sweeps,
     not for hot loops.
     """
     n = state.norm()
-    assert abs(n - 1.0) <= norm_tol, f"norm {n!r} drifted beyond {norm_tol}"
+    assert abs(n - 1.0) <= _CHECK_NORM_TOL, f"norm {n!r} drifted beyond {_CHECK_NORM_TOL}"
     x = state.positions
     outside = np.abs(x) > state.steps_taken
     assert np.all(state.amplitudes[:, outside] == 0), "amplitude outside the light cone"

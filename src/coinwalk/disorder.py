@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coinwalk.core import WalkState, coin_matrices, evolve, exact_int
+from coinwalk.core import WalkState, coin_matrices, evolve, exact_count, exact_int
 from coinwalk.errors import InvalidParameterError
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "SEED_MIXER_ID",
     "ParameterRange",
     "DisorderSpec",
-    "CoinSchedule",
     "preset_spec",
     "derive_stream_seed",
     "sample_schedule",
@@ -97,24 +96,6 @@ class DisorderSpec:
         return ORDERED if all(r.is_degenerate for r in ranges) else PER_STEP_RANDOM
 
 
-@dataclass(frozen=True, eq=False)
-class CoinSchedule:
-    """One coin-angle triple per step, with its seed provenance.
-
-    ``params`` has shape (steps, 3); row k holds (xi, theta, zeta) of step
-    k.  Regenerating with identical (master_seed, realization_index, spec,
-    steps) reproduces ``params`` bit for bit.  Schedules compare by
-    identity; compare their ``params`` arrays to compare contents.
-    """
-
-    params: np.ndarray
-    master_seed: int
-    realization_index: int
-
-    def __len__(self) -> int:
-        return len(self.params)
-
-
 def preset_spec(name: str) -> DisorderSpec:
     """Return one of the four bundled disorder specifications.
 
@@ -155,11 +136,7 @@ def derive_stream_seed(master_seed: int, realization_index: int) -> int:
         negative.
     """
     master_seed = exact_int("master_seed", master_seed)
-    realization_index = exact_int("realization_index", realization_index)
-    if realization_index < 0:
-        raise InvalidParameterError(
-            f"realization_index must be >= 0, got {realization_index}"
-        )
+    realization_index = exact_count("realization_index", realization_index)
     z = (master_seed + (realization_index + 1) * _GOLDEN_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -171,7 +148,7 @@ def sample_schedule(
     steps: int,
     master_seed: int,
     realization_index: int = 0,
-) -> CoinSchedule:
+) -> np.ndarray:
     """Draw one coin triple per step, uniformly from the ranges in ``spec``.
 
     Draws are independent across steps.  Within a step the order is fixed
@@ -190,30 +167,30 @@ def sample_schedule(
     realization_index : int
         Which independent realization of the ensemble to generate.
 
+    Returns
+    -------
+    numpy.ndarray
+        Read-only, shape (steps, 3), float64: row k holds (xi, theta, zeta)
+        of step k.
+
     Raises
     ------
     InvalidParameterError
         If ``steps``, ``master_seed`` or ``realization_index`` is not an
         integer, or ``steps`` or ``realization_index`` is negative.
     """
-    steps = exact_int("steps", steps)
-    if steps < 0:
-        raise InvalidParameterError(f"steps must be >= 0, got {steps}")
+    steps = exact_count("steps", steps)
     rng = np.random.default_rng(derive_stream_seed(master_seed, realization_index))
     u = rng.random((steps, 3))
     lows = np.array([spec.xi_range.low, spec.theta_range.low, spec.zeta_range.low])
     widths = np.array([spec.xi_range.width, spec.theta_range.width, spec.zeta_range.width])
     params = lows + u * widths
     params.setflags(write=False)
-    return CoinSchedule(
-        params=params,
-        master_seed=int(master_seed),
-        realization_index=int(realization_index),
-    )
+    return params
 
 
-def evolve_disordered(initial: WalkState, schedule: CoinSchedule) -> WalkState:
-    """Apply one walk step per schedule row, row 0 first.
+def evolve_disordered(initial: WalkState, schedule: np.ndarray) -> WalkState:
+    """Apply one walk step per row of a (steps, 3) angle schedule, row 0 first.
 
     A schedule whose rows are all identical reproduces the ordered walk
     amplitude for amplitude.  An empty schedule returns a copy of the
@@ -223,5 +200,7 @@ def evolve_disordered(initial: WalkState, schedule: CoinSchedule) -> WalkState:
     ------
     CapacityError
         If the schedule is longer than the lattice can absorb.
+    InvalidParameterError
+        If ``schedule`` is not a (steps, 3) array of finite angles.
     """
-    return evolve(initial, coin_matrices(schedule.params))
+    return evolve(initial, coin_matrices(schedule))

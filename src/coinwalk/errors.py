@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["WalkError", "InvalidParameterError", "CapacityError", "NormDriftError"]
+
 
 class WalkError(Exception):
     """Base class for every error raised by this package."""

@@ -126,11 +126,11 @@ def test_criterion_2_dense_operator_oracle():
 
         def compare(t, amplitudes):
             nonlocal reference, worst, observed
-            reference = dense_evolve(reference, [schedule.params[t - 1]])
+            reference = dense_evolve(reference, [schedule[t - 1]])
             worst = max(worst, float(np.max(np.abs(amplitudes - reference))))
             observed += 1
 
-        evolve(state, coin_matrices(schedule.params), observe=compare)
+        evolve(state, coin_matrices(schedule), observe=compare)
     assert observed == t_max * len(PRESET_NAMES)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 1.0
@@ -231,7 +231,7 @@ def test_criterion_6_conservation_suite():
 
     def verify(state):
         nonlocal checked
-        check_state(state, norm_tol=1e-10)
+        check_state(state)
         total = float(distribution_from_state(state).p.sum())
         assert abs(total - 1.0) < 1e-10
         checked += 1

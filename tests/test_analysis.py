@@ -47,7 +47,7 @@ def reference_ensemble(spec, steps, realizations, master_seed, track_per_step):
     variances = np.empty(realizations)
     per_step = np.zeros(steps + 1) if track_per_step else None
     for r in range(realizations):
-        coins = coin_matrices(sample_schedule(spec, steps, master_seed, r).params)
+        coins = coin_matrices(sample_schedule(spec, steps, master_seed, r))
         state = build_initial_state(SYM, steps)
         if track_per_step:
             for t, coin in enumerate(coins, start=1):
@@ -111,6 +111,11 @@ class TestDistributionFromState:
             PositionDistribution(t=1, p=np.array([0.5, 0.5]))  # even length
         with pytest.raises(InvalidParameterError):
             PositionDistribution(t=1, p=np.array([0.5, -0.1, 0.6]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(InvalidParameterError, match="probabilities must be finite"):
+            PositionDistribution(t=1, p=np.array([bad, 0.0, 0.0]))
 
 
 class TestVariance:
@@ -184,6 +189,19 @@ class TestLocalizationLength:
         with pytest.raises(InvalidParameterError):
             localization_length(-1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "disordered, ordered, named",
+        [
+            (math.nan, 1.0, "disordered"),
+            (math.inf, 1.0, "disordered"),
+            (1.0, math.nan, "ordered"),
+            (1.0, math.inf, "ordered"),
+        ],
+    )
+    def test_non_finite_spread_rejected(self, disordered, ordered, named):
+        with pytest.raises(InvalidParameterError, match=f"^{named} spread must be finite"):
+            localization_length(disordered, ordered)
+
     @given(
         sd=st.floats(min_value=1e-6, max_value=1e6),
         so=st.floats(min_value=1e-6, max_value=1e6),
@@ -216,6 +234,29 @@ class TestSpreadingExponent:
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(InvalidParameterError):
             spreading_exponent([(1, 1.0), (2, 0.0), (4, 4.0)])
+
+    def test_one_distinct_t_rejected(self):
+        # np.polyfit would warn about the rank and return a meaningless slope
+        with pytest.raises(InvalidParameterError, match="2 distinct t"):
+            spreading_exponent([(4, 1.0), (4, 2.0), (4, 3.0)])
+
+    def test_two_distinct_t_accepted(self):
+        assert spreading_exponent([(2, 2.0), (2, 2.0), (8, 8.0)]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            [(1, 1.0), (math.nan, 2.0), (4, 4.0)],
+            [(1, 1.0), (math.inf, 2.0), (4, 4.0)],
+            [(1, 1.0), (2, math.inf), (4, 4.0)],
+            [(1, 1.0), (2, math.nan), (4, 4.0)],
+        ],
+        ids=["nan-t", "inf-t", "inf-variance", "nan-variance"],
+    )
+    def test_non_finite_point_rejected(self, series, capfd):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            spreading_exponent(series)
+        assert capfd.readouterr().err == ""
 
 
 class TestSymmetryDeviation:
@@ -314,6 +355,15 @@ class TestRunEnsemble:
     )
     def test_inexact_integers_rejected(self, steps, realizations):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
+            run_ensemble(preset_spec("full-range"), SYM, steps, realizations, master_seed=1)
+
+    @pytest.mark.parametrize(
+        "steps, realizations, error",
+        [(-1, 3, "steps must be >= 0"), (10, 0, "realizations must be >= 1")],
+        ids=["negative-steps", "no-realizations"],
+    )
+    def test_out_of_range_counts_rejected(self, steps, realizations, error):
+        with pytest.raises(InvalidParameterError, match=error):
             run_ensemble(preset_spec("full-range"), SYM, steps, realizations, master_seed=1)
 
     def test_norm_drift_rejected(self, monkeypatch):

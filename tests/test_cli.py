@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from coinwalk import cli
-from coinwalk.cli import main, parse_config
+from coinwalk.cli import build_parser, main, parse_config
 from coinwalk.disorder import PER_STEP_RANDOM
 
 HALF_PI = math.pi / 2
@@ -74,6 +74,23 @@ class TestParseConfig:
         cfg.write_text(json.dumps({"stepz": 50}))
         assert main(["--config", str(cfg), "--out", "d.csv"]) == 2
 
+    def test_every_flag_but_config_is_a_config_key(self, tmp_path):
+        flags = set(vars(build_parser().parse_args([]))) - {"config"}
+        plain = {
+            "steps": 5, "preset": "theta-high", "xi_range": "0:1", "theta_range": "0:1",
+            "zeta_range": "0:1", "delta": 0.5, "phi": 0.25, "realizations": 2, "seed": 3,
+            "out": "d.json", "format": "json",
+        }
+        assert flags == plain.keys() | {"recipe"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(plain))
+        config = parse_config(["--config", str(cfg)])
+        assert (config.steps, config.realizations, config.master_seed) == (5, 2, 3)
+        assert (config.initial.delta, config.initial.phi) == (0.5, 0.25)
+        assert (config.spec.xi_range.high, config.format) == (1.0, "json")
+        cfg.write_text(json.dumps({"recipe": "fig1", "out": "d"}))
+        assert parse_config(["--config", str(cfg)]).recipe == "fig1"
+
     def test_missing_out_is_usage_error(self):
         assert main(["--steps", "10"]) == 2
 
@@ -115,6 +132,20 @@ class TestErrorPaths:
         out = tmp_path / "d.csv"
         assert main(["--config", str(cfg), *flags, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [({"delta": True}, "--delta"), ({"phi": False}, "--phi"), ({"delta": "x"}, "--delta")],
+        ids=["boolean-delta", "boolean-phi", "string-delta"],
+    )
+    def test_non_numeric_angle_in_config_rejected(self, tmp_path, capsys, config, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "d.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} must be a number") and err.count("\n") == 1
         assert not out.exists()
 
     def test_largest_seed_accepted(self):

@@ -11,7 +11,6 @@ from coinwalk.core import (
     CoinParams,
     InitialStateParams,
     WalkState,
-    build_coin_matrix,
     build_initial_state,
     check_state,
     coin_matrices,
@@ -19,7 +18,6 @@ from coinwalk.core import (
     evolve_in_place,
     evolve_ordered,
     exact_int,
-    step,
 )
 from coinwalk.disorder import preset_spec, sample_schedule, evolve_disordered
 from coinwalk.errors import CapacityError, InvalidParameterError
@@ -108,6 +106,28 @@ class TestWalkState:
         with pytest.raises(InvalidParameterError):
             WalkState(t_max=-1, amplitudes=np.zeros((2, 1)))
 
+    @pytest.mark.parametrize(
+        "value, error",
+        [(2.5, "must be an integer"), (True, "must be an integer"), (-1, "must be >= 0")],
+        ids=["float", "bool", "negative"],
+    )
+    def test_inexact_or_negative_t_max_rejected(self, value, error):
+        with pytest.raises(InvalidParameterError, match=f"t_max {error}"):
+            WalkState(value, np.zeros((2, 6), dtype=np.complex128))
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [(1.0, "must be an integer"), (True, "must be an integer"), (-1, "must be >= 0")],
+        ids=["float", "bool", "negative"],
+    )
+    def test_inexact_or_negative_steps_taken_rejected(self, value, error):
+        with pytest.raises(InvalidParameterError, match=f"steps_taken {error}"):
+            WalkState(2, np.zeros((2, 5), dtype=np.complex128), steps_taken=value)
+
+    def test_numpy_integer_counts_become_ints(self):
+        state = WalkState(np.int64(2), np.zeros((2, 5)), steps_taken=np.uint8(1))
+        assert type(state.t_max) is int and type(state.steps_taken) is int
+
     def test_positions_span_lattice(self):
         state = symmetric_state(3)
         assert state.positions.tolist() == [-3, -2, -1, 0, 1, 2, 3]
@@ -125,21 +145,21 @@ class TestWalkState:
 
 class TestCoinMatrix:
     def test_hadamard_coin(self):
-        m = build_coin_matrix(CoinParams(0.0, QUARTER_PI, 0.0))
+        m = coin_matrices([(0.0, QUARTER_PI, 0.0)])[0]
         expected = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         np.testing.assert_allclose(m, expected, atol=1e-15)
 
     def test_theta_zero_is_diagonal(self):
-        m = build_coin_matrix(CoinParams(0.0, 0.0, 0.0))
+        m = coin_matrices([(0.0, 0.0, 0.0)])[0]
         np.testing.assert_array_equal(m, np.array([[1, 0], [0, -1]], dtype=complex))
 
     def test_theta_half_pi_is_swap(self):
-        m = build_coin_matrix(CoinParams(0.0, HALF_PI, 0.0))
+        m = coin_matrices([(0.0, HALF_PI, 0.0)])[0]
         np.testing.assert_allclose(m, np.array([[0, 1], [1, 0]]), atol=1e-15)
 
     @given(xi=finite_angles, theta=finite_angles, zeta=finite_angles)
     def test_unitary_for_any_finite_angles(self, xi, theta, zeta):
-        m = build_coin_matrix(CoinParams(xi, theta, zeta))
+        m = coin_matrices([(xi, theta, zeta)])[0]
         np.testing.assert_allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
 
     def test_coin_matrices_equal_the_scalar_formula_bit_for_bit(self):
@@ -155,8 +175,9 @@ class TestCoinMatrix:
         assert coins.shape == (len(params), 2, 2) and coins.dtype == np.complex128
         scalar = np.array([dense_coin(*row) for row in params])
         assert same_bits(coins, scalar)
+        # row k of a batch equals the one-row call
         for row, coin in zip(params[:50], coins):
-            assert same_bits(build_coin_matrix(CoinParams(*row)), coin)
+            assert same_bits(coin_matrices([row])[0], coin)
         # from -0.0 angles only the sign of a zero entry may differ
         assert np.array_equal(coin_matrices([(-0.0, -0.0, -0.0)])[0], dense_coin(-0.0, -0.0, -0.0))
 
@@ -221,7 +242,7 @@ class TestInitialState:
 
 class TestStep:
     def test_one_hadamard_step_splits_evenly(self):
-        state = step(symmetric_state(2), build_coin_matrix(CoinParams(0.0, QUARTER_PI, 0.0)))
+        state = evolve(symmetric_state(2), coin_matrices([(0.0, QUARTER_PI, 0.0)]))
         p = np.abs(state.amplitudes) ** 2
         totals = p.sum(axis=0)
         # columns are x = -2..2; half the mass lands on each neighbour of 0
@@ -231,32 +252,32 @@ class TestStep:
 
     def test_diagonal_coin_moves_pure_zero_left(self):
         initial = build_initial_state(InitialStateParams(delta=0.0, phi=0.0), 2)
-        state = step(initial, build_coin_matrix(CoinParams(0.0, 0.0, 0.0)))
+        state = evolve(initial, coin_matrices([(0.0, 0.0, 0.0)]))
         assert state.amplitudes[0, 1] == 1.0  # x = -1, coin |0>
         assert np.count_nonzero(state.amplitudes) == 1
 
     def test_two_swap_steps_return_to_origin(self):
         initial = symmetric_state(2)
-        swap = build_coin_matrix(CoinParams(0.0, HALF_PI, 0.0))
-        state = step(step(initial, swap), swap)
+        swap = coin_matrices([(0.0, HALF_PI, 0.0)])
+        state = evolve(evolve(initial, swap), swap)
         np.testing.assert_allclose(state.amplitudes, initial.amplitudes, atol=1e-15)
         assert state.steps_taken == 2
 
     def test_step_beyond_capacity_raises(self):
         state = symmetric_state(1)
-        coin = build_coin_matrix(CoinParams(0.0, QUARTER_PI, 0.0))
-        state = step(state, coin)
+        coin = coin_matrices([(0.0, QUARTER_PI, 0.0)])
+        state = evolve(state, coin)
         with pytest.raises(CapacityError):
-            step(state, coin)
+            evolve(state, coin)
 
     def test_non_2x2_coin_rejected(self):
         with pytest.raises(InvalidParameterError):
-            step(symmetric_state(1), np.eye(3))
+            evolve(symmetric_state(1), np.eye(3)[np.newaxis])
 
     def test_input_state_is_not_mutated(self):
         initial = symmetric_state(2)
         before = initial.amplitudes.copy()
-        step(initial, build_coin_matrix(CoinParams(0.3, 0.9, 1.1)))
+        evolve(initial, coin_matrices([(0.3, 0.9, 1.1)]))
         np.testing.assert_array_equal(initial.amplitudes, before)
 
 
@@ -284,7 +305,7 @@ class TestEvolve:
 
     def test_observe_sees_every_intermediate_state(self):
         schedule = sample_schedule(preset_spec("theta-high"), 12, master_seed=4)
-        coins = coin_matrices(schedule.params)
+        coins = coin_matrices(schedule)
         expected = symmetric_state(20).amplitudes
         for coin in coins[:5]:
             expected = reference_step(expected, coin)
@@ -465,7 +486,7 @@ class TestInvariants:
             check_state(WalkState(60, amplitudes.copy(), t))
             seen.append(t)
 
-        evolve(symmetric_state(60), coin_matrices(schedule.params), observe=check)
+        evolve(symmetric_state(60), coin_matrices(schedule), observe=check)
         assert seen == list(range(1, 61))
 
     @settings(max_examples=30, deadline=None)
@@ -482,17 +503,17 @@ class TestInvariants:
     )
     def test_any_coin_sequence_preserves_structure(self, angles):
         state = symmetric_state(len(angles))
-        for xi, theta, zeta in angles:
-            state = step(state, build_coin_matrix(CoinParams(xi, theta, zeta)))
+        for triple in angles:
+            state = evolve(state, coin_matrices([triple]))
         check_state(state)
 
     def test_symmetry_of_unbiased_ordered_walk(self):
         # delta = phi = pi/2 with zero coin phases: mirror-symmetric at every t
         for theta in (math.pi / 6, QUARTER_PI, math.pi / 3):
             state = symmetric_state(400)
-            coin = build_coin_matrix(CoinParams(0.0, theta, 0.0))
+            coin = coin_matrices([(0.0, theta, 0.0)])
             for _ in range(400):
-                state = step(state, coin)
+                state = evolve(state, coin)
                 p = (np.abs(state.amplitudes) ** 2).sum(axis=0)
                 assert np.max(np.abs(p - p[::-1])) < 1e-10
 
@@ -517,7 +538,7 @@ class TestDenseOracle:
     def test_fixed_disordered_schedule_matches_dense_operator(self):
         schedule = sample_schedule(preset_spec("full-range"), 8, master_seed=99)
         state = symmetric_state(8)
-        expected = dense_evolve(state.amplitudes, schedule.params)
+        expected = dense_evolve(state.amplitudes, schedule)
         evolved = evolve_disordered(state, schedule)
         np.testing.assert_allclose(evolved.amplitudes, expected, atol=1e-12)
 
@@ -539,6 +560,6 @@ class TestDenseOracle:
         initial = build_initial_state(InitialStateParams(delta=delta, phi=phi), len(angles))
         expected = dense_evolve(initial.amplitudes, angles)
         state = initial
-        for xi, theta, zeta in angles:
-            state = step(state, build_coin_matrix(CoinParams(xi, theta, zeta)))
+        for triple in angles:
+            state = evolve(state, coin_matrices([triple]))
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)

@@ -11,7 +11,6 @@ from coinwalk.core import CoinParams, InitialStateParams, build_initial_state, e
 from coinwalk.disorder import (
     ORDERED,
     PER_STEP_RANDOM,
-    CoinSchedule,
     DisorderSpec,
     ParameterRange,
     derive_stream_seed,
@@ -140,40 +139,37 @@ class TestSeedMixer:
 class TestSampleSchedule:
     def test_zero_steps_gives_empty_schedule(self):
         schedule = sample_schedule(preset_spec("full-range"), 0, master_seed=1)
-        assert len(schedule) == 0
-        assert schedule.params.shape == (0, 3)
+        assert schedule.shape == (0, 3)
 
     def test_degenerate_ranges_give_identical_entries(self):
         zero = ParameterRange(0.0, 0.0)
         spec = DisorderSpec(zero, ParameterRange(QUARTER_PI, QUARTER_PI), zero)
         schedule = sample_schedule(spec, 5, master_seed=7)
-        assert len(schedule) == 5
-        assert same_bits(schedule.params, np.tile([0.0, QUARTER_PI, 0.0], (5, 1)))
+        assert same_bits(schedule, np.tile([0.0, QUARTER_PI, 0.0], (5, 1)))
 
     def test_same_inputs_reproduce_bit_for_bit(self):
         spec = preset_spec("full-range")
         a = sample_schedule(spec, 64, master_seed=42, realization_index=0)
         b = sample_schedule(spec, 64, master_seed=42, realization_index=0)
-        assert same_bits(a.params, b.params)
-        assert (a.master_seed, a.realization_index) == (b.master_seed, b.realization_index)
+        assert same_bits(a, b)
         # the rows are the draws lows + u * widths of the documented stream
         u = np.random.default_rng(derive_stream_seed(42, 0)).random((64, 3))
         lows = np.array([0.0, 0.0, 0.0])
         widths = np.array([HALF_PI, HALF_PI, HALF_PI])
-        assert same_bits(a.params, lows + u * widths)
-        assert not a.params.flags.writeable
+        assert same_bits(a, lows + u * widths)
+        assert not a.flags.writeable
 
     def test_next_realization_differs(self):
         spec = preset_spec("full-range")
         a = sample_schedule(spec, 64, master_seed=42, realization_index=0)
         b = sample_schedule(spec, 64, master_seed=42, realization_index=1)
-        assert np.all(a.params != b.params)
+        assert np.all(a != b)
 
     def test_longer_schedule_extends_shorter(self):
         spec = preset_spec("theta-high")
         short = sample_schedule(spec, 50, master_seed=9)
         long = sample_schedule(spec, 100, master_seed=9)
-        assert same_bits(long.params[:50], short.params)
+        assert same_bits(long[:50], short)
 
     def test_negative_steps_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -195,7 +191,7 @@ class TestSampleSchedule:
     def test_numpy_integer_steps_accepted(self):
         spec = preset_spec("full-range")
         schedule = sample_schedule(spec, np.int64(4), master_seed=2)
-        assert same_bits(schedule.params, sample_schedule(spec, 4, master_seed=2).params)
+        assert same_bits(schedule, sample_schedule(spec, 4, master_seed=2))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -207,13 +203,12 @@ class TestSampleSchedule:
         spec = preset_spec("theta-low")
         a = sample_schedule(spec, steps, seed, index)
         b = sample_schedule(spec, steps, seed, index)
-        assert a.params.shape == (steps, 3)
-        assert same_bits(a.params, b.params)
+        assert a.shape == (steps, 3)
+        assert same_bits(a, b)
 
     def test_one_million_draws_stay_in_closed_ranges(self):
         spec = preset_spec("theta-high")
-        schedule = sample_schedule(spec, 333_334, master_seed=13)  # > 1e6 parameters
-        values = schedule.params
+        values = sample_schedule(spec, 333_334, master_seed=13)  # > 1e6 parameters
         assert values[:, 0].min() >= 0.0 and values[:, 0].max() <= HALF_PI
         assert values[:, 1].min() >= QUARTER_PI and values[:, 1].max() <= HALF_PI
         assert values[:, 2].min() >= 0.0 and values[:, 2].max() <= HALF_PI
@@ -222,7 +217,7 @@ class TestSampleSchedule:
         # 1e5 theta draws from [0, pi/2] against 20 equiprobable bins
         spec = preset_spec("full-range")
         schedule = sample_schedule(spec, 100_000, master_seed=2024)
-        thetas = schedule.params[:, 1]
+        thetas = schedule[:, 1]
         counts, _ = np.histogram(thetas, bins=20, range=(0.0, HALF_PI))
         expected = thetas.size / 20
         statistic = float(((counts - expected) ** 2 / expected).sum())
@@ -231,8 +226,7 @@ class TestSampleSchedule:
 
 class TestEvolveDisordered:
     def test_degenerate_schedule_equals_ordered_walk(self):
-        params = np.array([[0.0, QUARTER_PI, 0.0]] * 2)
-        schedule = CoinSchedule(params=params, master_seed=0, realization_index=0)
+        schedule = np.array([[0.0, QUARTER_PI, 0.0]] * 2)
         initial = build_initial_state(InitialStateParams(), 2)
         disordered = evolve_disordered(initial, schedule)
         ordered = evolve_ordered(initial, CoinParams(0.0, QUARTER_PI, 0.0), 2)
@@ -240,16 +234,14 @@ class TestEvolveDisordered:
 
     def test_empty_schedule_is_identity(self):
         initial = build_initial_state(InitialStateParams(), 3)
-        schedule = CoinSchedule(params=np.empty((0, 3)), master_seed=5, realization_index=0)
-        state = evolve_disordered(initial, schedule)
+        state = evolve_disordered(initial, np.empty((0, 3)))
         np.testing.assert_array_equal(state.amplitudes, initial.amplitudes)
         assert state.steps_taken == 0
 
     def test_two_step_bounce_lands_back_at_origin(self):
         # diagonal coin sends pure |0> to x=-1; the swap coin flips it to
         # |1> and shifts it back to the origin
-        params = np.array([[0.0, 0.0, 0.0], [0.0, HALF_PI, 0.0]])
-        schedule = CoinSchedule(params=params, master_seed=0, realization_index=0)
+        schedule = np.array([[0.0, 0.0, 0.0], [0.0, HALF_PI, 0.0]])
         initial = build_initial_state(InitialStateParams(delta=0.0, phi=0.0), 2)
         state = evolve_disordered(initial, schedule)
         p = (np.abs(state.amplitudes) ** 2).sum(axis=0)
