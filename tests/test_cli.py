@@ -373,6 +373,11 @@ PINNED_RUNS["plain-ordered-r2"] = ["--steps", "50", "--realizations", "2", "--se
 PINNED_RUNS["plain-theta-high-r3"] = [
     "--preset", "theta-high", "--steps", "50", "--realizations", "3", "--seed", "5",
 ]
+PINNED_RUNS["plain-theta-high-r1"] = ["--preset", "theta-high", "--steps", "50", "--seed", "5"]
+PINNED_RUNS["plain-theta-range-json-r1"] = [
+    "--steps", "50", "--theta-range", "0.3:1.2", "--format", "json",
+    "--delta", "1.1", "--phi", "0.4",
+]
 
 # SHA-256 of every data and metrics file of PINNED_RUNS, captured before
 # fig1-fig3 and the plain run shared one panel runner, with numpy 2.4.6 and
@@ -483,6 +488,16 @@ OUTPUT_DIGESTS = {
     "plain-theta-high-r3": {
         "run.csv": "ed7a59894f771b07b26dc74c5008d44a82b57d8b517d125e5455b9de5b7111bc",
         "run.metrics.json": "6a6bc72593587516fa8dd886698df6a4c62c90b15ea9183c81c0671760ab7987",
+    },
+    # the two single-walk runs were captured while a one-realization walk
+    # still had its own pipeline in the CLI
+    "plain-theta-high-r1": {
+        "run.csv": "c44517deb1d4ac28d5b1f8d01c6b0d35dcd9bf8c956e1b7f5041b85d8f6d2af6",
+        "run.metrics.json": "735861f0ec479c55c4836f6423faf4b5b7f942194ab97ebad8ba63fb1dbc1f3a",
+    },
+    "plain-theta-range-json-r1": {
+        "run.csv": "54e2d702662c9285fedf6d09b6cfb1fce7b3267f8a8298ac325e6d1eb89fcade",
+        "run.metrics.json": "c03ad8185c2f52308d7d2c3732e6ada7ee26433d95f5d6340741b9dc0db8e858",
     },
 }
 
