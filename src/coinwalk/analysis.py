@@ -22,7 +22,7 @@ from coinwalk.core import (
     exact_count,
     exact_int,
 )
-from coinwalk.disorder import DisorderSpec, sample_schedule
+from coinwalk.disorder import ORDERED, DisorderSpec, sample_schedule
 from coinwalk.errors import InvalidParameterError, NormDriftError
 
 __all__ = [
@@ -59,6 +59,7 @@ class PositionDistribution:
     p: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "t", exact_count("t", self.t))
         p = np.asarray(self.p, dtype=np.float64)
         if p.ndim != 1 or p.size % 2 == 0:
             raise InvalidParameterError(
@@ -264,7 +265,9 @@ def run_ensemble(
     Consecutive realizations are evolved together in chunks of a fixed
     memory budget, but every statistic accumulates one realization at a
     time in index order, so the output is a pure function of the arguments
-    and does not depend on the chunk size.  With ``track_per_step`` the
+    and does not depend on the chunk size.  An ordered ``spec`` gives the
+    same walk in every realization, so that walk is evolved once and
+    reduced once per realization.  With ``track_per_step`` the
     ensemble-mean variance is recorded after every step, which costs one
     O(lattice) reduction per realization and step.
 
@@ -288,27 +291,33 @@ def run_ensemble(
     final_variances = np.empty(realizations, dtype=np.float64)
     per_step = np.zeros(steps + 1, dtype=np.float64) if track_per_step else None
 
-    chunk = min(_chunk_size(width), realizations)
+    copies = realizations if spec.mode == ORDERED else 1
+    walks = realizations // copies
+    chunk = min(_chunk_size(width), walks)
     start_amps = build_initial_state(initial, t_max=steps).amplitudes
     amps_buf = np.empty((chunk, 2, width), dtype=np.complex128)
     p_buf = np.empty((chunk, width), dtype=np.float64)
     scratch_buf = np.empty((2, chunk, 2, width), dtype=np.float64)
 
-    def record_variance(t: int, a: np.ndarray) -> None:
+    def realization_rows(a: np.ndarray) -> np.ndarray:
+        """One probability row per realization that the walks in ``a`` stand for."""
         p = _probabilities(a, p_buf[: len(a)], scratch_buf[:, : len(a)])
-        for row in p:
+        # the one walk of an ordered ensemble stands for all of its realizations
+        return np.broadcast_to(p, (copies, width)) if copies > 1 else p
+
+    def record_variance(t: int, a: np.ndarray) -> None:
+        for row in realization_rows(a):
             per_step[t] += _moments(row, positions, positions_squared)[1]
 
     observe = record_variance if track_per_step else None
-    for first in range(0, realizations, chunk):
-        indices = range(first, min(first + chunk, realizations))
+    for first in range(0, walks, chunk):
+        indices = range(first, min(first + chunk, walks))
         params = np.stack([sample_schedule(spec, steps, master_seed, r) for r in indices], axis=1)
         coins = coin_matrices(params.reshape(-1, 3)).reshape(steps, len(indices), 2, 2)
         amps = amps_buf[: len(indices)]
         amps[...] = start_amps
         evolve_in_place(amps, coins, observe=observe)
-        p = _probabilities(amps, p_buf[: len(indices)], scratch_buf[:, : len(indices)])
-        for r, row in zip(indices, p):
+        for r, row in enumerate(realization_rows(amps), start=first):
             _check_total(row)
             mean_p += row
             final_variances[r] = _moments(row, positions, positions_squared)[1]

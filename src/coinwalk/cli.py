@@ -21,15 +21,14 @@ import numpy as np
 
 from coinwalk import __version__
 from coinwalk.analysis import (
-    PositionDistribution,
+    EnsembleStats,
     classical_rw_distribution,
-    distribution_from_state,
     localization_length,
     metrics_from_distribution,
     run_ensemble,
     variance,
 )
-from coinwalk.core import InitialStateParams, build_initial_state, exact_int
+from coinwalk.core import InitialStateParams, exact_int
 from coinwalk.disorder import (
     ORDERED,
     PER_STEP_RANDOM,
@@ -37,9 +36,7 @@ from coinwalk.disorder import (
     SEED_MIXER_ID,
     DisorderSpec,
     ParameterRange,
-    evolve_disordered,
     preset_spec,
-    sample_schedule,
 )
 from coinwalk.errors import WalkError
 
@@ -301,26 +298,20 @@ def _write_json(path: Path, obj: dict) -> None:
     _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _write_distribution(
-    path: Path,
-    fmt: str,
-    dist: PositionDistribution,
-    value_name: str,
-    extra: dict[str, np.ndarray] | None = None,
-) -> None:
-    x = dist.positions
-    extra = extra or {}
+def _write_table(path: Path, fmt: str, columns: dict, head: dict | None = None) -> None:
+    """Write named, equally long columns as CSV or as one JSON object.
+
+    The first column holds integers and the others floats.  The entries of
+    ``head`` come first in the JSON object; CSV has no place for them.
+    """
+    first, *rest = columns
+    ints = [int(v) for v in columns[first]]
+    floats = {name: list(map(float, columns[name])) for name in rest}
     if fmt == "csv":
-        lines = [",".join(["x", value_name, *extra])]
-        columns = [dist.p, *extra.values()]
-        for i in range(x.size):
-            lines.append(",".join([str(int(x[i])), *(_fmt(col[i]) for col in columns)]))
-        _write_text(path, "\n".join(lines) + "\n")
+        rows = zip(map(str, ints), *(map(_fmt, col) for col in floats.values()))
+        _write_text(path, "\n".join([",".join(columns), *map(",".join, rows)]) + "\n")
     else:
-        obj = {"t": dist.t, "x": [int(v) for v in x], value_name: list(map(float, dist.p))}
-        for name, col in extra.items():
-            obj[name] = list(map(float, col))
-        _write_json(path, obj)
+        _write_json(path, {**(head or {}), first: ints, **floats})
 
 
 def _write_meta(path: Path, config: ExperimentConfig, outputs: list[str]) -> None:
@@ -346,6 +337,9 @@ def _write_meta(path: Path, config: ExperimentConfig, outputs: list[str]) -> Non
         },
         "outputs": sorted(outputs),
     }
+    if config.recipe is not None:
+        # a recipe walks its own presets and lengths, not these defaults
+        payload["parameters"].update(dict.fromkeys(["steps", "preset", *_RANGE_FLAGS, "mode"]))
     _write_json(path, payload)
 
 
@@ -390,22 +384,15 @@ def _ordered_spec(theta: float) -> DisorderSpec:
 
 def _walk(
     config: ExperimentConfig, spec: DisorderSpec, steps: int, realizations: int, walks: dict
-):
-    """(distribution, mean variance, ensemble statistics or None) of one walk.
+) -> EnsembleStats:
+    """The ensemble statistics of one walk; a single walk is one realization.
 
     ``walks`` caches the results of one invocation, whose seed is fixed, so
     a walk that two panels need runs once.
     """
     key = (spec, steps, realizations)
     if key not in walks:
-        if realizations == 1:
-            schedule = sample_schedule(spec, steps, config.master_seed)
-            state = evolve_disordered(build_initial_state(config.initial, steps), schedule)
-            dist = distribution_from_state(state)
-            walks[key] = dist, variance(dist), None
-        else:
-            stats = run_ensemble(spec, config.initial, steps, realizations, config.master_seed)
-            walks[key] = stats.mean_distribution, stats.mean_variance, stats
+        walks[key] = run_ensemble(spec, config.initial, steps, realizations, config.master_seed)
     return walks[key]
 
 
@@ -424,7 +411,8 @@ def _run_panel(
     A disordered walk's metrics compare it with the ordered reference walk
     of the same length, unless the panel is ``classical``.
     """
-    dist, mean_variance, stats = _walk(config, spec, steps, realizations, walks)
+    stats = _walk(config, spec, steps, realizations, walks)
+    dist = stats.mean_distribution
     m = metrics_from_distribution(dist)
     payload = {
         "steps": dist.t,
@@ -436,24 +424,24 @@ def _run_panel(
         "mean": m.mean,
         "symmetry_deviation": m.symmetry_deviation,
     }
-    if stats is not None:
+    if realizations > 1:
         payload["mean_variance"] = stats.mean_variance
         payload["variance_of_variance"] = stats.variance_of_variance
-    extra = {}
+    columns = {"x": dist.positions, "p" if realizations == 1 else "p_mean": dist.p}
     if classical:
         crw = classical_rw_distribution(steps)
-        extra["p_crw"] = crw.p
+        columns["p_crw"] = crw.p
         payload["crw_variance"] = variance(crw)
     elif spec.mode == PER_STEP_RANDOM:
         reference = _ordered_spec(DEFAULT_REFERENCE_THETA)
-        reference_variance = _walk(config, reference, steps, 1, walks)[1]
+        reference_variance = _walk(config, reference, steps, 1, walks).mean_variance
         payload["reference_theta"] = DEFAULT_REFERENCE_THETA
         payload["reference_variance"] = reference_variance
         payload["loc_length_ratio"] = localization_length(
-            math.sqrt(mean_variance), math.sqrt(reference_variance)
+            math.sqrt(stats.mean_variance), math.sqrt(reference_variance)
         )
-        payload["variance_ratio"] = mean_variance / reference_variance
-    _write_distribution(path, config.format, dist, "p" if realizations == 1 else "p_mean", extra)
+        payload["variance_ratio"] = stats.mean_variance / reference_variance
+    _write_table(path, config.format, columns, {"t": dist.t})
     return payload
 
 
@@ -485,39 +473,26 @@ def _recipe_fig4(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[st
     num_sigma = np.sqrt(num_stats.per_step_variance)
 
     metrics: dict[str, dict] = {}
-    rows: list[tuple[int, float, float]] = []
+    times = range(1, steps + 1)
+    columns: dict[str, list] = {"t": [], "theta_ref": [], "loc_length": []}
     for theta in reference_thetas:
         ref_stats = run_ensemble(
             _ordered_spec(theta), config.initial, steps, 1, config.master_seed, track_per_step=True
         )
         ref_sigma = np.sqrt(ref_stats.per_step_variance)
-        ratios = {}
-        for t in range(1, steps + 1):
-            ratio = localization_length(float(num_sigma[t]), float(ref_sigma[t]))
-            rows.append((t, theta, ratio))
-            if t in (100, 200, 400):
-                ratios[str(t)] = ratio
+        ratios = [localization_length(float(num_sigma[t]), float(ref_sigma[t])) for t in times]
+        columns["t"] += times
+        columns["theta_ref"] += [theta] * steps
+        columns["loc_length"] += ratios
         metrics[f"theta_ref_{_fmt(theta)}"] = {
             "theta_ref": theta,
             "realizations": config.realizations,
             "seed": config.master_seed,
-            "loc_length": ratios,
+            "loc_length": {str(t): ratios[t - 1] for t in (100, 200, 400)},
         }
 
     name = f"fig4_loc_length.{config.format}"
-    if config.format == "csv":
-        lines = ["t,theta_ref,loc_length"]
-        lines.extend(f"{t},{_fmt(theta)},{_fmt(ratio)}" for t, theta, ratio in rows)
-        _write_text(out_dir / name, "\n".join(lines) + "\n")
-    else:
-        _write_json(
-            out_dir / name,
-            {
-                "t": [row[0] for row in rows],
-                "theta_ref": [row[1] for row in rows],
-                "loc_length": [row[2] for row in rows],
-            },
-        )
+    _write_table(out_dir / name, config.format, columns)
     return metrics, [name]
 
 

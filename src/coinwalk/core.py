@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -33,11 +34,22 @@ __all__ = [
 ]
 
 
-def _finite(name: str, value: float) -> float:
-    out = float(value)
-    if not math.isfinite(out):
-        raise InvalidParameterError(f"{name} must be a finite real number, got {value!r}")
-    return out
+def finite_real(name: str, value) -> float:
+    """Return ``value`` as a float if it is a finite real number, else raise.
+
+    Bools and non-numbers are rejected rather than converted
+    (``float(True)`` would silently give 1.0, ``float("2")`` 2.0).
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``value`` is a bool, not a real number, or not finite.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        out = float(value)
+        if math.isfinite(out):
+            return out
+    raise InvalidParameterError(f"{name} must be a finite real number, got {value!r}")
 
 
 def exact_int(name: str, value) -> int:
@@ -82,7 +94,7 @@ class CoinParams:
 
     def __post_init__(self) -> None:
         for name in ("xi", "theta", "zeta"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,7 @@ class InitialStateParams:
 
     def __post_init__(self) -> None:
         for name in ("delta", "phi"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coinwalk.core import WalkState, coin_matrices, evolve, exact_count, exact_int
+from coinwalk.core import WalkState, coin_matrices, evolve, exact_count, exact_int, finite_real
 from coinwalk.errors import InvalidParameterError
 
 __all__ = [
@@ -59,10 +59,7 @@ class ParameterRange:
 
     def __post_init__(self) -> None:
         for name in ("low", "high"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"range {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, finite_real(f"range {name}", getattr(self, name)))
         if self.low > self.high:
             raise InvalidParameterError(
                 f"range low must not exceed high, got [{self.low}, {self.high}]"

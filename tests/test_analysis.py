@@ -112,6 +112,17 @@ class TestDistributionFromState:
         with pytest.raises(InvalidParameterError):
             PositionDistribution(t=1, p=np.array([0.5, -0.1, 0.6]))
 
+    @pytest.mark.parametrize(
+        "bad", [2.0, -2.5, True, -1], ids=["float", "fraction", "bool", "negative"]
+    )
+    def test_inexact_or_negative_t_rejected(self, bad):
+        with pytest.raises(InvalidParameterError, match="^t must be"):
+            PositionDistribution(t=bad, p=np.array([0.0, 1.0, 0.0]))
+
+    def test_numpy_integer_t_becomes_int(self):
+        dist = PositionDistribution(t=np.int64(2), p=np.array([0.0, 1.0, 0.0]))
+        assert dist.t == 2 and type(dist.t) is int
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_probability_rejected(self, bad):
         with pytest.raises(InvalidParameterError, match="probabilities must be finite"):
@@ -329,12 +340,28 @@ class TestRunEnsemble:
             run_ensemble(preset_spec("full-range"), SYM, 10, 0, master_seed=1)
 
     @pytest.mark.parametrize("track", [False, True], ids=["final", "per-step"])
-    @pytest.mark.parametrize("realizations", [1, 2, 37])
-    def test_equals_the_per_realization_loop_bit_for_bit(self, realizations, track):
-        spec = preset_spec("theta-high")
+    @pytest.mark.parametrize(
+        "preset, realizations",
+        [("theta-high", 1), ("theta-high", 2), ("theta-high", 37), ("hadamard-ordered", 7)],
+        ids=["1", "2", "37", "ordered-7"],
+    )
+    def test_equals_the_per_realization_loop_bit_for_bit(self, preset, realizations, track):
+        spec = preset_spec(preset)
         stats = run_ensemble(spec, SYM, 30, realizations, master_seed=8, track_per_step=track)
         assert stats.realizations == realizations
         assert_same_ensemble(stats, reference_ensemble(spec, 30, realizations, 8, track))
+
+    @pytest.mark.parametrize("preset, walks", [("hadamard-ordered", 1), ("theta-high", 7)])
+    def test_an_ordered_ensemble_evolves_one_walk(self, monkeypatch, preset, walks):
+        sampled = []
+
+        def counted(*args, _real=analysis.sample_schedule):
+            sampled.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(analysis, "sample_schedule", counted)
+        run_ensemble(preset_spec(preset), SYM, 30, 7, master_seed=8, track_per_step=True)
+        assert len(sampled) == walks
 
     @pytest.mark.parametrize("track", [False, True], ids=["final", "per-step"])
     @pytest.mark.parametrize("chunk", [1, 7, 37, 50])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from coinwalk import cli
+from coinwalk import analysis, cli
 from coinwalk.cli import build_parser, main, parse_config
 from coinwalk.disorder import PER_STEP_RANDOM
 
@@ -158,7 +158,7 @@ class TestErrorPaths:
 
         # stands in for the lattice allocation of a huge --steps, so the test
         # allocates nothing large
-        monkeypatch.setattr(cli, "build_initial_state", allocation_fails)
+        monkeypatch.setattr(analysis, "build_initial_state", allocation_fails)
         assert main(["--steps", "50", "--out", str(tmp_path / "d.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
@@ -257,6 +257,8 @@ class TestSingleRunOutputs:
         params = meta["parameters"]
         assert params["master_seed"] == 44
         assert params["theta_range"] == [QUARTER_PI, HALF_PI]
+        assert (params["steps"], params["preset"]) == (10, "theta-high")
+        assert (params["mode"], params["recipe"]) == (PER_STEP_RANDOM, None)
         assert "created_utc" in meta
 
 
@@ -302,6 +304,16 @@ class TestRecipes:
         metrics = json.loads((out / "fig2_metrics.json").read_text())
         assert metrics["fig2d_theta_high_t200"]["loc_length_ratio"] < 1.0
 
+    def test_meta_leaves_the_parameters_the_recipe_fixes_null(self, tmp_path):
+        out = tmp_path / "fig1"
+        args = ["--recipe", "fig1", "--seed", "5", "--realizations", "2", "--out", str(out)]
+        assert main(args) == 0
+        params = json.loads((out / "fig1_meta.json").read_text())["parameters"]
+        fixed = ("steps", "preset", "xi_range", "theta_range", "zeta_range", "mode")
+        assert {name: params[name] for name in fixed} == dict.fromkeys(fixed)
+        assert (params["recipe"], params["master_seed"], params["realizations"]) == ("fig1", 5, 2)
+        assert (params["delta"], params["phi"]) == (HALF_PI, HALF_PI)
+
     def test_fig4_table_covers_reference_thetas(self, tmp_path):
         out = tmp_path / "fig4"
         assert main(["--recipe", "fig4", "--seed", "2", "--out", str(out)]) == 0
@@ -317,14 +329,14 @@ class TestRecipes:
 
 
 def count_walks(monkeypatch):
-    """Record every walk the CLI starts, one entry per call."""
+    """Record every walk the CLI starts, one entry per ``run_ensemble`` call."""
     walks = []
-    for name in ("evolve_disordered", "run_ensemble"):
-        def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
-            walks.append(_name)
-            return _real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+    def counted(*args, _real=cli.run_ensemble, **kwargs):
+        walks.append(args)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ensemble", counted)
     return walks
 
 

@@ -29,6 +29,9 @@ QUARTER_PI = math.pi / 4
 
 finite_angles = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
+#: Values an angle must reject instead of converting with float().
+NOT_ANGLES = [True, False, np.True_, "x", "1.5", None, math.inf]
+
 
 def symmetric_state(t_max: int) -> WalkState:
     """The (|0> + i|1>)/sqrt(2) initial state used throughout."""
@@ -88,6 +91,23 @@ class TestParams:
     def test_initial_params_reject_non_finite(self):
         with pytest.raises(InvalidParameterError):
             InitialStateParams(delta=math.inf)
+
+    @pytest.mark.parametrize("bad", NOT_ANGLES, ids=repr)
+    def test_coin_params_reject_bools_and_non_numbers(self, bad):
+        for angles in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+            with pytest.raises(InvalidParameterError, match="must be a finite real number"):
+                CoinParams(*angles)
+
+    @pytest.mark.parametrize("bad", NOT_ANGLES, ids=repr)
+    def test_initial_params_reject_bools_and_non_numbers(self, bad):
+        for name in ("delta", "phi"):
+            with pytest.raises(InvalidParameterError, match=f"^{name} must be a finite real"):
+                InitialStateParams(**{name: bad})
+
+    def test_numpy_angles_become_floats(self):
+        p = CoinParams(np.float64(0.5), np.float32(0.25), np.int64(2))
+        assert (p.xi, p.theta, p.zeta) == (0.5, 0.25, 2.0)
+        assert all(type(v) is float for v in (p.xi, p.theta, p.zeta))
 
 
 class TestWalkState:

@@ -52,6 +52,14 @@ class TestParameterRange:
         with pytest.raises(InvalidParameterError):
             ParameterRange(0.0, math.inf)
 
+    @pytest.mark.parametrize(
+        "bad", [True, False, np.True_, "x", "1.5", None, math.inf], ids=repr
+    )
+    def test_bools_and_non_numbers_rejected(self, bad):
+        for bounds, name in (((bad, 2.0), "low"), ((0.0, bad), "high")):
+            with pytest.raises(InvalidParameterError, match=f"^range {name} must be a finite"):
+                ParameterRange(*bounds)
+
     def test_degenerate_detection(self):
         assert ParameterRange(0.3, 0.3).is_degenerate
         assert not ParameterRange(0.3, 0.4).is_degenerate
