@@ -52,7 +52,8 @@ class PositionDistribution:
     """Probability of finding the walker at each lattice site.
 
     ``p[i]`` is the probability at x = i - h where h = (len(p) - 1) // 2;
-    ``t`` records after how many steps the distribution was taken.
+    ``t``, an exact integer >= 0, records after how many steps the
+    distribution was taken.
     """
 
     t: int
