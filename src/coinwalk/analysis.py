@@ -42,8 +42,8 @@ __all__ = [
 #: Largest tolerated deviation of a distribution's total probability from 1.
 NORM_DRIFT_LIMIT = 1e-6
 
-#: Bytes of evolution buffers one chunk of an ensemble may hold; the chunk
-#: size is this over the bytes per realization (at least 1).
+#: Bytes one chunk of an ensemble may hold in two (2, width) complex arrays
+#: per realization; the chunk size is this over those bytes (at least 1).
 _CHUNK_BYTES = 512 * 1024
 
 
@@ -117,12 +117,20 @@ def _float_positions(dist: PositionDistribution) -> tuple[np.ndarray, np.ndarray
     return x, x * x
 
 
-def _probabilities(a: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """|a|^2 summed over the coin axis of (..., 2, w) amplitudes, into ``out``."""
-    np.multiply(a.real, a.real, out=scratch[0])
-    np.multiply(a.imag, a.imag, out=scratch[1])
-    np.add(scratch[0], scratch[1], out=scratch[0])
-    return np.add(scratch[0][..., 0, :], scratch[0][..., 1, :], out=out)
+def _probabilities(a: np.ndarray, reach: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    """|a|^2 summed over the coin axis of (..., 2, w) amplitudes, into ``out``.
+
+    Only the sites |x| <= ``reach`` are computed; the other columns of
+    ``out`` are left as they are.  ``a`` must be C-contiguous, and
+    ``scratch`` is a float64 array of the shape of its float64 view.
+    """
+    centre = a.shape[-1] // 2
+    lo, hi = centre - reach, centre + reach + 1
+    # interleaved (re, im) pairs: re*re + im*im per coin row, then the rows
+    parts = a.view(np.float64)[..., 2 * lo : 2 * hi]
+    squares = np.multiply(parts, parts, out=scratch[..., 2 * lo : 2 * hi])
+    pairs = np.add(squares[..., 0::2], squares[..., 1::2], out=squares[..., 0::2])
+    np.add(pairs[..., 0, :], pairs[..., 1, :], out=out[..., lo:hi])
 
 
 def _check_total(p: np.ndarray) -> None:
@@ -248,7 +256,12 @@ def metrics_from_distribution(dist: PositionDistribution) -> RunMetrics:
 
 
 def _chunk_size(width: int) -> int:
-    """Realizations per chunk: the kernel's two (2, width) complex buffers each."""
+    """Realizations per chunk: ``_CHUNK_BYTES`` over two (2, width) complex arrays each.
+
+    The kernel holds three such arrays per realization (the caller's array
+    and its two padded buffers), so a chunk's kernel memory is about 1.5
+    times ``_CHUNK_BYTES``.
+    """
     return max(1, _CHUNK_BYTES // (2 * 2 * width * np.dtype(np.complex128).itemsize))
 
 
@@ -269,8 +282,9 @@ def run_ensemble(
     and does not depend on the chunk size.  An ordered ``spec`` gives the
     same walk in every realization, so that walk is evolved once and
     reduced once per realization.  With ``track_per_step`` the
-    ensemble-mean variance is recorded after every step, which costs one
-    O(lattice) reduction per realization and step.
+    ensemble-mean variance is recorded after every step, which costs |a|^2
+    over the light cone and two full-width dot products per realization and
+    step.
 
     Raises
     ------
@@ -298,16 +312,21 @@ def run_ensemble(
     start_amps = build_initial_state(initial, t_max=steps).amplitudes
     amps_buf = np.empty((chunk, 2, width), dtype=np.complex128)
     p_buf = np.empty((chunk, width), dtype=np.float64)
-    scratch_buf = np.empty((2, chunk, 2, width), dtype=np.float64)
+    scratch_buf = np.empty((chunk, 2, 2 * width), dtype=np.float64)
 
-    def realization_rows(a: np.ndarray) -> np.ndarray:
-        """One probability row per realization that the walks in ``a`` stand for."""
-        p = _probabilities(a, p_buf[: len(a)], scratch_buf[:, : len(a)])
+    def realization_rows(t: int, a: np.ndarray) -> np.ndarray:
+        """One probability row per realization that the walks in ``a`` stand for.
+
+        Only the light cone |x| <= t is computed: beyond it the amplitudes
+        are exact zeros, and ``p_buf`` holds zeros there.
+        """
+        p = p_buf[: len(a)]
+        _probabilities(a, t, p, scratch_buf[: len(a)])
         # the one walk of an ordered ensemble stands for all of its realizations
         return np.broadcast_to(p, (copies, width)) if copies > 1 else p
 
     def record_variance(t: int, a: np.ndarray) -> None:
-        for row in realization_rows(a):
+        for row in realization_rows(t, a):
             per_step[t] += _moments(row, positions, positions_squared)[1]
 
     observe = record_variance if track_per_step else None
@@ -317,8 +336,11 @@ def run_ensemble(
         coins = coin_matrices(params.reshape(-1, 3)).reshape(steps, len(indices), 2, 2)
         amps = amps_buf[: len(indices)]
         amps[...] = start_amps
+        # tracking fills only the light cone, and the previous chunk's final
+        # rows filled every column
+        p_buf.fill(0.0)
         evolve_in_place(amps, coins, observe=observe)
-        for r, row in enumerate(realization_rows(amps), start=first):
+        for r, row in enumerate(realization_rows(steps, amps), start=first):
             _check_total(row)
             mean_p += row
             final_variances[r] = _moments(row, positions, positions_squared)[1]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -150,13 +151,11 @@ def _exact_int(flag: str, value) -> int:
         raise UsageError(str(exc)) from None
 
 
-def _real(flag: str, value) -> float:
-    # float(True) would silently give 1.0
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
+def _real(flag: str, value):
+    """``value`` if it is a real number; ``InitialStateParams`` checks it is finite."""
+    # float(True) would silently give 1.0, and float("1.5") 1.5
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
     raise UsageError(f"{flag} must be a number, got {value!r}")
 
 

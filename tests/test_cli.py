@@ -136,8 +136,13 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "config, named",
-        [({"delta": True}, "--delta"), ({"phi": False}, "--phi"), ({"delta": "x"}, "--delta")],
-        ids=["boolean-delta", "boolean-phi", "string-delta"],
+        [
+            ({"delta": True}, "--delta"),
+            ({"phi": False}, "--phi"),
+            ({"delta": "x"}, "--delta"),
+            ({"delta": "1.5", "steps": 5}, "--delta"),
+        ],
+        ids=["boolean-delta", "boolean-phi", "string-delta", "numeric-string-delta"],
     )
     def test_non_numeric_angle_in_config_rejected(self, tmp_path, capsys, config, named):
         cfg = tmp_path / "cfg.json"
@@ -146,6 +151,16 @@ class TestErrorPaths:
         assert main(["--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named} must be a number") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_angle_beyond_the_float_range_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 10**400}))
+        out = tmp_path / "d.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --delta/--phi: delta must be a finite real number")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_largest_seed_accepted(self):

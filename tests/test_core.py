@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinwalk import core
 from coinwalk.core import (
     CoinParams,
     InitialStateParams,
@@ -103,6 +104,12 @@ class TestParams:
         for name in ("delta", "phi"):
             with pytest.raises(InvalidParameterError, match=f"^{name} must be a finite real"):
                 InitialStateParams(**{name: bad})
+
+    def test_integer_beyond_the_float_range_rejected(self):
+        with pytest.raises(InvalidParameterError, match="^xi must be a finite real number"):
+            CoinParams(10**400, 0.0, 0.0)
+        with pytest.raises(InvalidParameterError, match="^phi must be a finite real number"):
+            InitialStateParams(phi=-(10**400))
 
     def test_numpy_angles_become_floats(self):
         p = CoinParams(np.float64(0.5), np.float32(0.25), np.int64(2))
@@ -448,6 +455,90 @@ class TestEvolveInPlace:
         for taken in (-1, 1.5, True):
             with pytest.raises(InvalidParameterError):
                 evolve_in_place(np.zeros((2, 5), complex), coins, steps_taken=taken)
+
+
+def reference_walks(amps: np.ndarray, coins: np.ndarray) -> np.ndarray:
+    """``reference_step`` applied to every walk of a batch, one coin at a time."""
+    out = amps.copy()
+    for coin in coins:
+        for i in np.ndindex(amps.shape[:-2]):
+            out[i] = reference_step(out[i], coin[i])
+    return out
+
+
+def same_values(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal amplitudes and equal bytes of |a|^2; only the sign of a zero may differ."""
+    return np.array_equal(a, b) and same_bits(np.abs(a) ** 2, np.abs(b) ** 2)
+
+
+class TestLightConeCrop:
+    """The kernel multiplies only the columns the light cone can reach.
+
+    Lattices wider than the kernel's window quantum, so the windows really
+    are narrower than the lattice for most steps.
+    """
+
+    @pytest.mark.parametrize("quantum", [4, 8, core._WINDOW_QUANTUM])
+    @pytest.mark.parametrize("t_max", [100, 101])  # widths 201 and 203: 1 and 3 mod 4
+    @pytest.mark.parametrize("batch", [(1,), (5,), (2, 3)])
+    def test_walks_from_the_origin_match_the_reference(self, monkeypatch, quantum, t_max, batch):
+        monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
+        rng = np.random.default_rng(t_max)
+        amps = np.zeros(batch + (2, 2 * t_max + 1), dtype=np.complex128)
+        amps[..., t_max] = rng.normal(size=batch + (2,)) + 1j * rng.normal(size=batch + (2,))
+        coins = random_unitaries(rng, (t_max,) + batch)
+        expected = reference_walks(amps, coins)
+        evolve_in_place(amps, coins)
+        assert same_values(amps, expected)
+
+    @pytest.mark.parametrize("t_max", [64, 65, 100])  # widths 129, 131 and 201
+    @pytest.mark.parametrize("edge", [0, -1])
+    def test_support_on_one_edge_column(self, t_max, edge):
+        # the last column of width 129 starts a quantum of 64, so a window
+        # holding only the support would be that one column, and a
+        # one-column product goes through zgemv and rounds differently
+        rng = np.random.default_rng(t_max)
+        start = np.zeros((2, 2 * t_max + 1), dtype=np.complex128)
+        start[:, edge] = rng.normal(size=2) + 1j * rng.normal(size=2)
+        coins = random_unitaries(rng, (t_max,))
+        seen = []
+
+        def observe(t, a):
+            assert same_values(a, reference_walks(start, coins[:t]))
+            seen.append(t)
+
+        amps = start.copy()
+        evolve_in_place(amps, coins, observe=observe)
+        assert seen == list(range(1, t_max + 1))
+        assert same_values(amps, reference_walks(start, coins))
+
+    def test_all_zero_amplitudes_stay_zero(self):
+        amps = np.zeros((3, 2, 151), dtype=np.complex128)
+        seen = []
+        evolve_in_place(amps, random_unitaries(np.random.default_rng(1), (75, 3)),
+                        observe=lambda t, a: seen.append((t, bool(np.any(a)))))
+        assert seen == [(t, False) for t in range(1, 76)]
+        assert not np.any(amps)
+
+    def test_observe_gets_the_callers_array_holding_the_current_state(self):
+        rng = np.random.default_rng(3)
+        t_max, steps = 150, 40
+        amps = np.zeros((2, 2, 2 * t_max + 1), dtype=np.complex128)
+        amps[..., t_max - 3 : t_max + 4] = random_amplitudes(rng, (2, 2, 7))
+        coins = random_unitaries(rng, (steps, 2))
+        expected = amps.copy()
+        seen = []
+
+        def observe(t, a):
+            nonlocal expected
+            assert a is amps
+            expected = reference_walks(expected, coins[len(seen) : len(seen) + 1])
+            assert same_values(a, expected)
+            seen.append(t)
+
+        evolve_in_place(amps, coins, steps_taken=5, observe=observe)
+        assert seen == list(range(6, 6 + steps))
+        assert same_values(amps, expected)
 
 
 # ---------------------------------------------------------------------------
