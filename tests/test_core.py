@@ -1,5 +1,6 @@
 """Unit and property tests for the walk engine."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwalk import core
+from coinwalk.analysis import distribution_from_state, variance
 from coinwalk.core import (
     CoinParams,
     InitialStateParams,
@@ -577,6 +579,24 @@ class TestEvolveOrdered:
     def test_inexact_steps_rejected(self, steps):
         with pytest.raises(InvalidParameterError, match="steps must be an integer"):
             evolve_ordered(symmetric_state(3), CoinParams(0.0, QUARTER_PI, 0.0), steps)
+
+
+class TestPinnedOrderedWalk:
+    """The bytes of a walk long enough to carry subnormal amplitudes.
+
+    At t = 3000 the Hadamard walk's tails hold 576 real or imaginary parts
+    below the smallest normal float64; each squares to exactly 0.  Captured
+    with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 on a 2-vCPU x86-64
+    host; another BLAS build may round the last bits differently.
+    """
+
+    def test_hadamard_t3000_distribution_and_variance(self):
+        state = evolve_ordered(symmetric_state(3000), CoinParams(0.0, QUARTER_PI, 0.0), 3000)
+        dist = distribution_from_state(state)
+        assert hashlib.sha256(dist.p.tobytes()).hexdigest() == (
+            "19f71bf8867be77293546687bff310b19a7d69ac45b1d484f7c22a966fb16af0"
+        )
+        assert variance(dist).hex() == "0x1.41c83bf05d558p+21"
 
 
 # ---------------------------------------------------------------------------
