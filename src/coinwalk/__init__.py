@@ -4,8 +4,8 @@ The walker is a two-state particle on the integer lattice.  Each step mixes
 its internal state with a 2x2 unitary coin and shifts the two components in
 opposite directions.  Keeping the coin fixed gives ballistic spreading;
 redrawing its parameters every step from suitable ranges makes the same
-unitary dynamics diffuse like a classical walk or stay localized near the
-origin.  The package simulates single walks and seeded ensembles, computes
+unitary dynamics diffuse like a classical walk or stay confined relative
+to the ordered walk.  The package simulates single walks and seeded ensembles, computes
 spread statistics, and ships a CLI that writes reproducible CSV/JSON runs.
 """
 

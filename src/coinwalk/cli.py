@@ -115,8 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=RECIPE_NAMES,
         help=(
             "bundled experiment: fig1 = diffusive full-range walk vs classical baseline "
-            "at t=100; fig2 = all four presets at t=200; fig3 = localized walk and "
-            "ordered reference at t=100/200/400; fig4 = spread ratio vs steps for "
+            "at t=100; fig2 = all four presets at t=200; fig3 = theta-high walk "
+            "(confined relative to the ordered walk) and ordered reference at "
+            "t=100/200/400; fig4 = spread ratio vs steps for "
             "several reference thetas"
         ),
     )

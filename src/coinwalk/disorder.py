@@ -103,7 +103,7 @@ def preset_spec(name: str) -> DisorderSpec:
     - ``theta-low``: theta uniform on [0, pi/4], phases on [0, pi/2];
       diffuses without the sharp ballistic side peaks.
     - ``theta-high``: theta uniform on [pi/4, pi/2], phases on [0, pi/2];
-      stays localized around the origin.
+      confined relative to the ordered walk.
     """
     full = ParameterRange(0.0, _HALF_PI)
     if name == "hadamard-ordered":

@@ -543,6 +543,84 @@ class TestLightConeCrop:
         assert same_values(amps, expected)
 
 
+def subnormal_parts(a: np.ndarray) -> int:
+    """Real and imaginary parts of ``a`` that are non-zero but below the smallest normal."""
+    parts = np.abs(np.stack([a.real, a.imag]))
+    return int(np.count_nonzero((parts > 0) & (parts < np.finfo(np.float64).tiny)))
+
+
+def squared_bytes(a: np.ndarray) -> tuple[bytes, bytes]:
+    """|a|^2 as the package's reductions compute it, and as ``np.abs`` does."""
+    return (a.real * a.real + a.imag * a.imag).tobytes(), (np.abs(a) ** 2).tobytes()
+
+
+#: Coins a step from the swap coin: cos(theta) is 1e-3, 1e-4 and 1e-6, so the
+#: amplitude left behind shrinks by that factor per bounce and reaches the
+#: subnormal range within a few hundred steps.
+NEAR_SWAP_THETAS = [HALF_PI - 1e-3, HALF_PI - 1e-4, HALF_PI - 1e-6]
+
+
+class TestSubnormalFlush:
+    """Every ``_FLUSH_PERIOD`` steps the kernel sets subnormal parts to +0.0.
+
+    Against a ``reference_step`` loop, which keeps them, the flushed walk
+    must give the same bytes of |a|^2 at every step, amplitudes within
+    1e-300, and no subnormal part right after a flush.
+    """
+
+    STEPS = 300
+
+    def check_against_reference(self, start: np.ndarray, coins: np.ndarray) -> None:
+        expected = start.copy()
+        flushed = []  # subnormal parts of the reference at each flush step
+
+        def observe(t, a):
+            nonlocal expected
+            expected = reference_walks(expected, coins[t - 1 : t])
+            assert squared_bytes(a) == squared_bytes(expected)
+            assert np.max(np.abs(a - expected)) <= 1e-300
+            if t % core._FLUSH_PERIOD == 0:
+                assert subnormal_parts(a) == 0
+                flushed.append(subnormal_parts(expected))
+
+        amps = start.copy()
+        evolve_in_place(amps, coins, observe=observe)
+        assert len(flushed) == self.STEPS // core._FLUSH_PERIOD
+        assert max(flushed) > 0, "the reference never held a subnormal part to flush"
+        assert squared_bytes(amps) == squared_bytes(expected)
+
+    def start(self, batch: tuple[int, ...]) -> np.ndarray:
+        amps = np.zeros(batch + (2, 2 * self.STEPS + 1), dtype=np.complex128)
+        amps[..., self.STEPS] = symmetric_state(0).amplitudes[:, 0]
+        return amps
+
+    @pytest.mark.parametrize("phase", [0.3, 0.7])
+    @pytest.mark.parametrize(
+        "walks", [[0], [1], [2], [0, 1, 2]], ids=["1e-3", "1e-4", "1e-6", "batch"]
+    )
+    def test_ordered_near_swap_coins(self, phase, walks):
+        thetas = [NEAR_SWAP_THETAS[i] for i in walks]
+        coin = coin_matrices([(phase, theta, phase) for theta in thetas])
+        batch = () if len(walks) == 1 else (len(walks),)
+        coins = np.broadcast_to(coin.reshape(batch + (2, 2)), (self.STEPS,) + batch + (2, 2))
+        self.check_against_reference(self.start(batch), coins)
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
+    def test_random_schedule_near_the_swap_coin(self, batch):
+        rng = np.random.default_rng(7)
+        shape = (self.STEPS,) + batch
+        angles = np.stack(
+            [
+                rng.uniform(0.0, HALF_PI, shape),
+                rng.uniform(1.55, 1.5707, shape),
+                rng.uniform(0.0, HALF_PI, shape),
+            ],
+            axis=-1,
+        )
+        coins = coin_matrices(angles.reshape(-1, 3)).reshape(shape + (2, 2))
+        self.check_against_reference(self.start(batch), coins)
+
+
 # ---------------------------------------------------------------------------
 # multi-step evolution
 
@@ -584,10 +662,11 @@ class TestEvolveOrdered:
 class TestPinnedOrderedWalk:
     """The bytes of a walk long enough to carry subnormal amplitudes.
 
-    At t = 3000 the Hadamard walk's tails hold 576 real or imaginary parts
-    below the smallest normal float64; each squares to exactly 0.  Captured
-    with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 on a 2-vCPU x86-64
-    host; another BLAS build may round the last bits differently.
+    Captured before the kernel flushed subnormal parts, when the Hadamard
+    walk's tails held 576 real or imaginary parts below the smallest normal
+    float64 at t = 3000; each squares to exactly 0.  Captured with numpy
+    2.4.6 and its bundled OpenBLAS 0.3.31 on a 2-vCPU x86-64 host; another
+    BLAS build may round the last bits differently.
     """
 
     def test_hadamard_t3000_distribution_and_variance(self):
