@@ -5,8 +5,9 @@ its internal state with a 2x2 unitary coin and shifts the two components in
 opposite directions.  Keeping the coin fixed gives ballistic spreading;
 redrawing its parameters every step from suitable ranges makes the same
 unitary dynamics diffuse like a classical walk or stay confined relative
-to the ordered walk.  The package simulates single walks and seeded ensembles, computes
-spread statistics, and ships a CLI that writes reproducible CSV/JSON runs.
+to the ordered walk.  The package simulates single walks and seeded
+ensembles, computes spread statistics, and ships a CLI that writes
+reproducible CSV/JSON runs.
 """
 
 from coinwalk.analysis import (

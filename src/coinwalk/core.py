@@ -288,9 +288,9 @@ def evolve_in_place(
     was byte-identical on every case checked: the near-swap and random
     walks of the tests, every pinned output and every captured benchmark
     operation.  Exact zeros at sites the window skipped or flushed are +0
-    where the full product may give -0.  The flush took
-    the ordered Hadamard walk to t = 6000 from 0.67 s to 0.21 s, its second
-    3,000 steps from 0.60 s to 0.15 s (medians, numpy 2.4.6, 2 vCPUs).
+    where the full product may give -0.  The flush took the ordered
+    Hadamard walk to t = 6000 from 0.67 s to 0.21 s, its second 3,000 steps
+    from 0.60 s to 0.15 s (medians, numpy 2.4.6, 2 vCPUs).
 
     Parameters
     ----------
