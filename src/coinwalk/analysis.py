@@ -258,9 +258,11 @@ def metrics_from_distribution(dist: PositionDistribution) -> RunMetrics:
 def _chunk_size(width: int) -> int:
     """Realizations per chunk: ``_CHUNK_BYTES`` over two (2, width) complex arrays each.
 
-    The kernel holds three such arrays per realization (the caller's array
-    and its two padded buffers), so a chunk's kernel memory is about 1.5
-    times ``_CHUNK_BYTES``.
+    For a walk from one site the kernel holds about two and a half such
+    arrays per realization: the caller's array, the two half-lattice
+    buffers of the one parity class that holds amplitude (about one array
+    together) and a zero array of half one.  A chunk's kernel memory is
+    therefore about 1.25 times ``_CHUNK_BYTES``.
     """
     return max(1, _CHUNK_BYTES // (2 * 2 * width * np.dtype(np.complex128).itemsize))
 

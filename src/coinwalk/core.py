@@ -19,7 +19,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from coinwalk.errors import CapacityError, InvalidParameterError
 
@@ -230,12 +229,13 @@ def build_initial_state(params: InitialStateParams, t_max: int) -> WalkState:
     return WalkState(t_max=t_max, amplitudes=amps, steps_taken=0)
 
 
-#: Columns by which the kernel's window grows; a multiple of 4.  zgemm
-#: computes a product's columns in blocks of 4 and rounds the columns of a
-#: last partial block differently, so a window that starts on a multiple of
-#: 4 and is whole blocks long (or ends at the last column) gives each column
-#: the bits of the full-lattice product.  Quanta of 16 to 64 timed the same;
-#: 128 and 256 were slower on a 12,001-site walk.
+#: Sublattice columns by which the kernel's window grows; a multiple of 4.
+#: zgemm computes a product's columns in blocks of 4, and a column inside a
+#: whole block gets the same bits wherever the block starts, so a window
+#: that starts on a multiple of 4 and is whole blocks long gives each column
+#: the bits of the full-lattice product (see :func:`evolve_in_place`).  32
+#: and 64 timed the same on the 12,001-site walks and on 200-step ensembles
+#: of 401 sites.
 _WINDOW_QUANTUM = 64
 
 #: Steps between flushes of subnormal amplitude parts to +0.0 (see
@@ -261,25 +261,50 @@ def evolve_in_place(
     never reaches the edge, because the lattice must hold every requested
     step.  Walks in a batch are independent: walk ``i`` uses ``coins[:, i]``.
 
-    This is the package's only step loop.  It multiplies only where the
-    light cone reaches: the occupied columns [first, last] of the input are
-    found once, and step k multiplies the window [first - k, last + k],
-    widened outward to whole quanta of ``_WINDOW_QUANTUM`` columns; outside
-    it every amplitude is exactly zero.  A window starts on a multiple of 4
-    columns, is a multiple of 4 long or ends at the last column, and is
-    never one column wide, so each column gets the bits that the
-    full-lattice zgemm gives it (checked with OpenBLAS 0.3.31).  The steps
-    alternate between two zero-padded buffers, and each product is written
-    through a view of the next buffer whose row 1 starts two columns later
-    than row 0, so it lands already shifted: a step copies nothing.
+    This is the package's only step loop.  A step moves every amplitude
+    from a column of one parity to columns of the other, so the even and
+    the odd columns of the input are two walks that never meet.  Each one
+    that holds amplitude (a "class") is stepped on its own, on half the
+    lattice, and a class that holds none costs nothing: a walk from one
+    site multiplies half the columns.  A class lives in two zero-padded
+    buffers, one per parity, which hold sublattice index j (lattice column
+    2j + parity) in buffer column j + 1 + parity.  A product over indices
+    [lo, hi) of either parity is written through a view of the other
+    buffer whose row 1 starts one column later than row 0, so it lands
+    already shifted: even to odd moves row 0 from j to j - 1 and keeps row
+    1 at j, odd to even keeps row 0 at j and moves row 1 to j + 1.  The
+    occupied columns [first, last] of the input are found once, and step k
+    multiplies the indices of columns [first - k + 1, last + k - 1] only,
+    widened outward to whole quanta of ``_WINDOW_QUANTUM`` indices; outside
+    them every amplitude is exactly zero.  Three rules keep the bits of the
+    full-lattice zgemm (checked with numpy 2.4.6 and OpenBLAS 0.3.31; the
+    kernel tests pin (i) and (ii)):
+
+    (i) a column inside whole blocks of 4 gets the bits the full product
+        gives it wherever the block starts, so every window starts on a
+        multiple of 4 and is whole blocks long;
+    (ii) the full product's last r = width mod 4 columns round differently,
+        and a product over the 4 + r lattice columns that end at the last
+        one reproduces them, so from the first step whose input can hold
+        amplitude there, each step also runs that product and overwrites
+        what those columns landed (for a walk from the origin: never when
+        the width is 1 mod 4, the last two steps of a full-capacity walk
+        when it is 3 mod 4);
+    (iii) amplitude must still leave the lattice: row 1 of the last column
+        lands past the right edge, where a later window would read it, so
+        from the first step that can move amplitude there on, the buffer
+        columns past the edge are zeroed after each step.  Row 0 of the
+        first column lands in a buffer column no step reads.
+
     After every step whose count ``steps_taken + k`` is a multiple of
-    ``_FLUSH_PERIOD``, each real or imaginary part of the window below the
-    smallest normal float64 (about 2.2e-308) is set to +0.0, before
-    ``observe`` sees the state and before the next step reads it.  Such
-    subnormal parts fill the exponentially small tails of long walks and
-    make every multiply that touches them many times slower; each squares
-    to exactly 0.  The result is copied into ``amplitudes`` once at the
-    end, or after every step, window only, when ``observe`` is given.
+    ``_FLUSH_PERIOD``, each real or imaginary part of the landed window
+    below the smallest normal float64 (about 2.2e-308) is set to +0.0,
+    before ``observe`` sees the state and before the next step reads it.
+    Such subnormal parts fill the exponentially small tails of long walks
+    and make every multiply that touches them many times slower; each
+    squares to exactly 0.  The state goes back into ``amplitudes``, both
+    parities over the window, once at the end, or after every step when
+    ``observe`` is given.
 
     The amplitudes equal those of the full-lattice product except at the
     flushed parts and beside them, by less than 1e-306 (worst seen 8e-307;
@@ -288,9 +313,10 @@ def evolve_in_place(
     was byte-identical on every case checked: the near-swap and random
     walks of the tests, every pinned output and every captured benchmark
     operation.  Exact zeros at sites the window skipped or flushed are +0
-    where the full product may give -0.  The flush took the ordered
-    Hadamard walk to t = 6000 from 0.67 s to 0.21 s, its second 3,000 steps
-    from 0.60 s to 0.15 s (medians, numpy 2.4.6, 2 vCPUs).
+    where the full product may give -0.  Against the full-width window,
+    stepping half the lattice took the ordered Hadamard walk to t = 6000
+    from 0.21 s to 0.12 s and the ``full-range`` walk of the same size from
+    0.24 s to 0.14 s (medians of 12, in process; numpy 2.4.6, 2 vCPUs).
 
     Parameters
     ----------
@@ -343,48 +369,138 @@ def evolve_in_place(
     occupied = np.flatnonzero((amps != 0).any(axis=tuple(range(amps.ndim - 1))))
     # an all-zero batch stays zero, and any window computes that
     first, last = (int(occupied[0]), int(occupied[-1])) if occupied.size else (t_max, t_max)
-    # column i is site x = i - t_max.  Each padded buffer holds the lattice in
-    # columns 1 .. width; its "landing" view starts row 1 two columns further
-    # on than row 0, so a product written there is already shifted: row 0 one
-    # site left, row 1 one site right.  The pad columns catch what leaves the
-    # lattice and the vacated edge cells are never written, so stay zero.
-    buffers = [np.zeros(amps.shape[:-1] + (width + 2,), dtype=np.complex128) for _ in range(2)]
-    lattices = [b[..., 1:-1] for b in buffers]
-    landings = [
-        as_strided(b, amps.shape, b.strides[:-2] + (b.strides[-2] + 2 * b.itemsize, b.itemsize))
-        for b in buffers
-    ]
+    odd = int(np.count_nonzero(occupied % 2))
+    classes = [c for c, count in ((0, occupied.size - odd), (1, odd)) if count]
+    # Lattice column c sits in buffer column (c + 1) // 2 + 1 of its parity's
+    # buffer, so parity x holds its t_max + 1 - x indices in columns [1 + x,
+    # t_max + 2), and columns from t_max + 2 on lie past the right edge.
+    # Windows end at most at index `size`, a whole block of 4, and one more
+    # column takes what lands from the last one.
+    size = -(-(t_max + 1) // 4) * 4
+    row = size + 2
+    # buffers[s][i] holds class classes[i] after a number of steps of parity
+    # s, on lattice parity (classes[i] + s) % 2.  Each walk's buffer is one
+    # flat run of cells, seen as two rows of `row` columns and as two
+    # "landing" rows of row + 1 columns that start one column in: a product
+    # written there has row 1 one column later than row 0.
+    store = np.zeros((2, len(classes)) + amps.shape[:-2] + (2 * row + 3,), np.complex128)
+    buffers = store[..., : 2 * row].reshape(store.shape[:-1] + (2, row))
+    landings = store[..., 1 : 2 * row + 3].reshape(store.shape[:-1] + (2, row + 1))[..., :size]
+    # Step 1 reads the input from buffers[0], which is cleared after it:
+    # later landings never write the vacated edge cell, so an input value
+    # there would survive.
+    for loaded, c in zip(buffers[0], classes):
+        loaded[..., 1 + c : t_max + 2] = amps[..., c::2]
+    halves = (amps[..., 0::2], amps[..., 1::2])
+    zeros = np.zeros(amps.shape[:-1] + (size,), np.complex128)
+    # (iii): from the step that reads the last lattice column on, its row 1
+    # lands in the first column past the right edge, which a later window
+    # may read.  Row 0 of column 0 lands in column 1 of an odd-parity buffer,
+    # which holds no index, so no step reads it.
+    leave_from = width - last
+    pasts = [(target[..., t_max + 2 :], zeros[..., : size - t_max]) for target in buffers]
+
+    # (ii): once the input can reach the full product's last r columns, each
+    # step redoes them over the 4 + r lattice columns that end at the last
+    # one, gathered from the source buffer, and overwrites what they landed.
+    # The other columns of that product are discarded, so whatever they hold
+    # does not matter.
+    r = width % 4
+    tail_from = width - r - last + 1
+    tails = (([], []), ([], []))  # per step parity: copies in, copies out
+    if tail_from <= len(coins):
+        span = min(4 + r, width)
+        scratch = np.zeros((len(classes),) + amps.shape[:-1] + (span,), np.complex128)
+        mixed = np.empty_like(scratch)
+        for s, (gathers, scatters) in enumerate(tails):
+            for i, c in enumerate(classes):
+                # the n tail columns c0, c0 + 2, ... on the parity this class
+                # is read from; row 0 lands from column c in c - 1, row 1 in
+                # c + 1, so in buffer columns c // 2 + 1 and c // 2 + 2
+                c0 = width - r + (width - r + c + s + 1) % 2
+                n = len(range(c0, width, 2))
+                if not n:
+                    continue
+                at = slice(c0 - (width - span), span, 2)
+                read, land = (c0 + 1) // 2 + 1, c0 // 2 + 1
+                target = buffers[s][i]
+                gathers.append((scratch[i][..., at], buffers[1 - s][i][..., read : read + n]))
+                scatters.append((target[..., 0, land : land + n], mixed[i][..., 0, at]))
+                scatters.append((target[..., 1, land + 1 : land + 1 + n], mixed[i][..., 1, at]))
+
+    # On steps k = s mod 2 class c is read from parity (c + s + 1) % 2, whose
+    # index j sits in buffer column j + 1 + that parity, and lands on the
+    # other parity.
+    reads = [[(1 + (c + s + 1) % 2, source, landing)
+              for c, source, landing in zip(classes, buffers[1 - s], landings[s])]
+             for s in (0, 1)]
+    lands = [{(c + s) % 2: target for c, target in zip(classes, buffers[s])} for s in (0, 1)]
+
+    def shows(s: int, lo: int, hi: int) -> list:
+        """(part of ``amps``, value) pairs writing the state after a step of parity s.
+
+        They cover both parities over indices [lo - 1, hi + 1) of the
+        window [lo, hi): what the step landed, and zeros over what it read.
+        """
+        start = max(lo - 1, 0)
+        pairs = []
+        for y, half in enumerate(halves):
+            shown = half[..., start : hi + 1]
+            n = shown.shape[-1]
+            landed = lands[s].get(y)
+            pairs.append((shown, zeros[..., :n] if landed is None
+                          else landed[..., 1 + y + start : 1 + y + start + n]))
+        return pairs
+
     renew = 1
     for k, coin in enumerate(coins, start=1):
         if k == renew:
-            # Step k reads a state that is zero outside [first - k + 1,
-            # last + k - 1] and leaves one that is zero outside [first - k,
-            # last + k].  Its window is the latter range widened to whole
-            # quanta: it holds every column the step changes, and it is at
-            # least two columns wide (a one-column product goes through zgemv
-            # and rounds differently).  It changes only when the range
-            # crosses a quantum boundary, so its views are rebuilt only then.
-            lo = max(first - k, 0) // _WINDOW_QUANTUM * _WINDOW_QUANTUM
-            hi = min(-(-(last + k + 1) // _WINDOW_QUANTUM) * _WINDOW_QUANTUM, width)
+            # Step k reads a state that is zero outside lattice columns [first
+            # - k + 1, last + k - 1], which have indices [a // 2, b // 2] on
+            # either parity.  The window widens those to whole quanta, so it
+            # changes only when they cross a quantum boundary, and its views
+            # are rebuilt only then.
+            a = max(first - k + 1, 0)
+            b = min(last + k - 1, width - 1)
+            lo = a // 2 // _WINDOW_QUANTUM * _WINDOW_QUANTUM
+            hi = min(-(-(b // 2 + 1) // _WINDOW_QUANTUM) * _WINDOW_QUANTUM, size)
             never = len(coins) + 1
-            renew = min(first - lo + 1 if lo else never, hi - last if hi < width else never)
-            shown = amps[..., lo:hi]
-            # step k reads buffer (k + 1) % 2 (the caller's array at k = 1)
-            # and lands in buffer k % 2
+            renew = min(
+                first + 2 - 2 * lo if lo else never, 2 * hi - last + 1 if hi <= t_max else never
+            )
             views = [
-                (lattices[1 - i][..., lo:hi], landings[i][..., lo:hi], lattices[i][..., lo:hi])
-                for i in (0, 1)
+                (
+                    [(source[..., lo + shift : hi + shift], landing[..., lo:hi])
+                     for shift, source, landing in reads[s]],
+                    buffers[s][..., lo + 1 : hi + 2],
+                    shows(s, lo, hi) if observe is not None else [],
+                )
+                for s in (0, 1)
             ]
-        source, landing, result = views[k % 2]
-        np.matmul(coin, amps[..., lo:hi] if k == 1 else source, out=landing)
+        products, result, shown = views[k % 2]
+        for source, landing in products:
+            np.matmul(coin, source, out=landing)
+        if k >= tail_from:
+            gathers, scatters = tails[k % 2]
+            for target, value in gathers:
+                np.copyto(target, value)
+            np.matmul(coin, scratch, out=mixed)
+            for target, value in scatters:
+                np.copyto(target, value)
+        if k == 1:
+            buffers[0].fill(0)
+        if k >= leave_from:
+            np.copyto(*pasts[k % 2])
         if (steps_taken + k) % _FLUSH_PERIOD == 0:
             parts = result.view(np.float64)
             np.copyto(parts, 0.0, where=np.abs(parts) < np.finfo(np.float64).tiny)
         if observe is not None:
-            shown[...] = result
+            for target, value in shown:
+                target[...] = value
             observe(steps_taken + k, amps)
     if observe is None and len(coins):
-        shown[...] = result
+        for target, value in shows(len(coins) % 2, lo, hi):
+            target[...] = value
 
 
 def evolve(

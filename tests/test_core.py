@@ -543,6 +543,130 @@ class TestLightConeCrop:
         assert same_values(amps, expected)
 
 
+def check_every_step(start: np.ndarray, coins: np.ndarray, steps_taken: int = 0) -> None:
+    """Evolve ``start`` and compare it with a ``reference_walks`` loop after every step.
+
+    The final state is also checked for a run without ``observe``.
+    """
+    expected = start.copy()
+    seen = []
+
+    def observe(t, a):
+        nonlocal expected
+        expected = reference_walks(expected, coins[len(seen) : len(seen) + 1])
+        assert same_values(a, expected), f"step {t}"
+        seen.append(t)
+
+    amps = start.copy()
+    evolve_in_place(amps, coins, steps_taken=steps_taken, observe=observe)
+    assert seen == list(range(steps_taken + 1, steps_taken + len(coins) + 1))
+    assert same_values(amps, expected)
+    unobserved = start.copy()
+    evolve_in_place(unobserved, coins, steps_taken=steps_taken)
+    assert same_values(unobserved, expected)
+
+
+#: Window quanta, in sublattice columns, that the sublattice cases run with.
+QUANTA = [4, 8, core._WINDOW_QUANTUM]
+
+
+class TestParitySublattice:
+    """The even and the odd columns are stepped as two walks on half lattices.
+
+    Every case compares the kernel with a full-lattice ``reference_step``
+    loop after every step, at several window quanta, on inputs that reach
+    what the half-lattice layout must handle: both parities at once, the
+    lattice edges, and the full product's last partial block of 4 columns.
+    """
+
+    @pytest.mark.parametrize("quantum", QUANTA)
+    @pytest.mark.parametrize("t_max", [30, 31])  # widths 61 and 63: 1 and 3 mod 4
+    @pytest.mark.parametrize("support", ["lattice", "band"])
+    def test_both_parities_in_a_batch_after_earlier_steps(
+        self, monkeypatch, quantum, t_max, support
+    ):
+        # "band" starts narrower than the lattice and still reaches both edges
+        monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
+        rng = np.random.default_rng(t_max)
+        start = random_amplitudes(rng, (2, 3, 2, 2 * t_max + 1))
+        if support == "band":
+            start[..., : t_max - 6] = 0
+            start[..., t_max + 7 :] = 0
+        coins = random_unitaries(rng, (t_max - 4, 2, 3))
+        check_every_step(start, coins, steps_taken=4)
+
+    @pytest.mark.parametrize("quantum", QUANTA)
+    @pytest.mark.parametrize("t_max", [40, 41])  # widths 81 and 83
+    @pytest.mark.parametrize("edge", ["left", "right"])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_amplitude_leaving_through_each_edge(self, monkeypatch, quantum, t_max, edge, parity):
+        monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
+        rng = np.random.default_rng([t_max, parity])
+        width = 2 * t_max + 1
+        # five columns of one parity against the edge
+        band = np.arange(width)[parity::2]
+        band = band[:5] if edge == "left" else band[-5:]
+        start = np.zeros((3, 2, width), dtype=np.complex128)
+        start[..., band] = random_amplitudes(rng, (3, 2, 5))
+        coins = random_unitaries(rng, (t_max, 3))
+        kept = np.linalg.norm(reference_walks(start, coins)) / np.linalg.norm(start)
+        assert kept < 0.99, "no amplitude left the lattice"
+        check_every_step(start, coins)
+
+    @pytest.mark.parametrize("quantum", QUANTA)
+    @pytest.mark.parametrize("t_max", [101, 103])  # widths 203 and 207: 3 mod 4
+    def test_full_capacity_walk_from_the_origin(self, monkeypatch, quantum, t_max):
+        # the last two steps read the full product's last three columns
+        monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
+        rng = np.random.default_rng(t_max)
+        start = np.zeros((2, 2, 2 * t_max + 1), dtype=np.complex128)
+        start[..., t_max] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        check_every_step(start, random_unitaries(rng, (t_max, 2)))
+
+
+class TestZgemmColumnBits:
+    """The two facts about zgemm's rounding that the kernel's layout relies on.
+
+    (i) A column inside whole blocks of 4 gets the full product's bits
+    wherever the block starts; (ii) the full product's last r = width mod 4
+    columns get their bits back from a product over the 4 + r columns that
+    end at the last one.  Both held with numpy 2.4.6 on OpenBLAS 0.3.31
+    (scipy-openblas64, DYNAMIC_ARCH, Haswell kernels, 2 threads).  A BLAS
+    build that breaks either fails here by name, not only through a pinned
+    digest.
+    """
+
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_whole_block_windows_keep_the_full_products_column_bits(self, batch):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            width = int(rng.integers(9, 300))
+            coin = random_unitaries(rng, batch)
+            amps = random_amplitudes(rng, batch + (2, width))
+            full = coin @ amps
+            blocks = width - width % 4
+            n = 4 * int(rng.integers(1, blocks // 4 + 1))
+            j0 = int(rng.integers(0, blocks - n + 1))
+            # the window's copy sits at any offset of a zero-padded buffer
+            pad = int(rng.integers(0, 4))
+            buffer = np.zeros(batch + (2, n + 4), dtype=np.complex128)
+            buffer[..., pad : pad + n] = amps[..., j0 : j0 + n]
+            window = coin @ buffer[..., pad : pad + n]
+            assert same_bits(window, full[..., j0 : j0 + n].copy()), (width, j0, n)
+
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_the_last_columns_come_back_from_the_4_plus_r_columns_ending_there(self, batch):
+        rng = np.random.default_rng(12)
+        for t_max in range(2, 150):
+            width = 2 * t_max + 1
+            r = width % 4
+            coin = random_unitaries(rng, batch)
+            amps = random_amplitudes(rng, batch + (2, width))
+            full = coin @ amps
+            tail = coin @ amps[..., width - 4 - r :].copy()
+            assert same_bits(tail[..., 4:], full[..., width - r :].copy()), width
+
+
 def subnormal_parts(a: np.ndarray) -> int:
     """Real and imaginary parts of ``a`` that are non-zero but below the smallest normal."""
     parts = np.abs(np.stack([a.real, a.imag]))
