@@ -19,6 +19,7 @@ from coinwalk.analysis import (
     localization_length,
     metrics_from_distribution,
     run_ensemble,
+    run_ensembles,
     spreading_exponent,
     symmetry_deviation,
     variance,
@@ -90,6 +91,7 @@ __all__ = [
     "symmetry_deviation",
     "metrics_from_distribution",
     "run_ensemble",
+    "run_ensembles",
     # errors
     "WalkError",
     "InvalidParameterError",

@@ -8,6 +8,7 @@ averaging over disorder realizations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ __all__ = [
     "symmetry_deviation",
     "metrics_from_distribution",
     "run_ensemble",
+    "run_ensembles",
 ]
 
 #: Largest tolerated deviation of a distribution's total probability from 1.
@@ -117,20 +119,16 @@ def _float_positions(dist: PositionDistribution) -> tuple[np.ndarray, np.ndarray
     return x, x * x
 
 
-def _probabilities(a: np.ndarray, reach: int, out: np.ndarray, scratch: np.ndarray) -> None:
-    """|a|^2 summed over the coin axis of (..., 2, w) amplitudes, into ``out``.
+def _variances(p: np.ndarray, x: np.ndarray, x_squared: np.ndarray) -> np.ndarray:
+    """Central second moment of each row of ``p``, clipped at zero like :func:`variance`.
 
-    Only the sites |x| <= ``reach`` are computed; the other columns of
-    ``out`` are left as they are.  ``a`` must be C-contiguous, and
-    ``scratch`` is a float64 array of the shape of its float64 view.
+    Each moment is one ``np.vecdot`` over all rows, which gives every row the
+    bits of ``np.dot(row, x)``: both call BLAS ``ddot`` per row, while
+    ``p @ x`` and ``einsum`` round differently (``TestVecdotRowBits`` pins this).
     """
-    centre = a.shape[-1] // 2
-    lo, hi = centre - reach, centre + reach + 1
-    # interleaved (re, im) pairs: re*re + im*im per coin row, then the rows
-    parts = a.view(np.float64)[..., 2 * lo : 2 * hi]
-    squares = np.multiply(parts, parts, out=scratch[..., 2 * lo : 2 * hi])
-    pairs = np.add(squares[..., 0::2], squares[..., 1::2], out=squares[..., 0::2])
-    np.add(pairs[..., 0, :], pairs[..., 1, :], out=out[..., lo:hi])
+    mean = np.vecdot(p, x)
+    second = np.vecdot(p, x_squared)
+    return np.maximum(second - mean * mean, 0.0)
 
 
 def _check_total(p: np.ndarray) -> None:
@@ -285,8 +283,8 @@ def run_ensemble(
     same walk in every realization, so that walk is evolved once and
     reduced once per realization.  With ``track_per_step`` the
     ensemble-mean variance is recorded after every step, which costs |a|^2
-    over the light cone and two full-width dot products per realization and
-    step.
+    over one parity of the light cone and one ``np.vecdot`` per moment for
+    each chunk and step.  This is :func:`run_ensembles` with one ensemble.
 
     Raises
     ------
@@ -297,63 +295,126 @@ def run_ensemble(
         If a realization's total probability deviates from 1 by more than
         ``NORM_DRIFT_LIMIT``.
     """
+    return run_ensembles([(spec, realizations)], initial, steps, master_seed, track_per_step)[0]
+
+
+def run_ensembles(
+    ensembles,
+    initial: InitialStateParams,
+    steps: int,
+    master_seed: int,
+    track_per_step: bool = False,
+) -> list[EnsembleStats]:
+    """Run several ensembles of one length as one batch of walks.
+
+    ``ensembles`` is a sequence of ``(spec, realizations)`` pairs, and the
+    result holds one :class:`EnsembleStats` per pair, in order, each equal
+    bit for bit to what :func:`run_ensemble` gives for that pair.  The
+    walks of all pairs are evolved together in chunks of ``_CHUNK_BYTES``,
+    a chunk may hold walks of several pairs, and each pair's statistics
+    still accumulate one realization at a time in index order.  An ordered
+    pair evolves one walk that stands for all of its realizations.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``ensembles`` is empty, ``steps`` or a ``realizations`` is not an
+        integer, a ``realizations`` < 1 or ``steps`` < 0; all are checked
+        before any walk runs.
+    NormDriftError
+        If a realization's total probability deviates from 1 by more than
+        ``NORM_DRIFT_LIMIT``.
+    """
     steps = exact_count("steps", steps)
-    realizations = exact_int("realizations", realizations)
-    if realizations < 1:
-        raise InvalidParameterError(f"realizations must be >= 1, got {realizations}")
+    pairs = [(spec, exact_int("realizations", realizations)) for spec, realizations in ensembles]
+    if not pairs:
+        raise InvalidParameterError("need at least one ensemble")
+    for _, realizations in pairs:
+        if realizations < 1:
+            raise InvalidParameterError(f"realizations must be >= 1, got {realizations}")
     width = 2 * steps + 1
     positions = np.arange(-steps, steps + 1, dtype=np.float64)
     positions_squared = positions * positions
-    mean_p = np.zeros(width, dtype=np.float64)
-    final_variances = np.empty(realizations, dtype=np.float64)
-    per_step = np.zeros(steps + 1, dtype=np.float64) if track_per_step else None
+    mean_ps = [np.zeros(width, dtype=np.float64) for _ in pairs]
+    final_variances = [np.empty(realizations, dtype=np.float64) for _, realizations in pairs]
+    per_steps = [np.zeros(steps + 1, dtype=np.float64) if track_per_step else None for _ in pairs]
 
-    copies = realizations if spec.mode == ORDERED else 1
-    walks = realizations // copies
-    chunk = min(_chunk_size(width), walks)
+    # (ensemble, first realization, realizations the walk stands for)
+    copies = [realizations if spec.mode == ORDERED else 1 for spec, realizations in pairs]
+    walks = (
+        (e, r, copies[e])
+        for e, (_, realizations) in enumerate(pairs)
+        for r in range(0, realizations, copies[e])
+    )
+    total = sum(realizations // c for (_, realizations), c in zip(pairs, copies))
+    chunk = min(_chunk_size(width), total)
     start_amps = build_initial_state(initial, t_max=steps).amplitudes
     amps_buf = np.empty((chunk, 2, width), dtype=np.complex128)
-    p_buf = np.empty((chunk, width), dtype=np.float64)
-    scratch_buf = np.empty((chunk, 2, 2 * width), dtype=np.float64)
+    # the float64 parts of amps_buf as (walk, coin row, re/im, site)
+    parts = np.moveaxis(amps_buf.view(np.float64).reshape(chunk, 2, width, 2), -1, -2)
+    squares = np.empty((chunk, 2, 2, steps + 1), dtype=np.float64)
+    # one probability buffer per parity of the step count
+    p_bufs = np.empty((2, chunk, width), dtype=np.float64)
+    step_variances = np.zeros((chunk, steps + 1), dtype=np.float64)
 
-    def realization_rows(t: int, a: np.ndarray) -> np.ndarray:
-        """One probability row per realization that the walks in ``a`` stand for.
+    def probabilities(n: int, t: int) -> np.ndarray:
+        """|a|^2 summed over the coin axis for the chunk's first n walks after t steps.
 
-        Only the light cone |x| <= t is computed: beyond it the amplitudes
-        are exact zeros, and ``p_buf`` holds zeros there.
+        A walk from one site holds amplitude only at the sites |x| <= t with
+        x = t (mod 2), so only those are squared; every other site of the
+        parity's buffer holds the zero it was filled with.
         """
-        p = p_buf[: len(a)]
-        _probabilities(a, t, p, scratch_buf[: len(a)])
-        # the one walk of an ordered ensemble stands for all of its realizations
-        return np.broadcast_to(p, (copies, width)) if copies > 1 else p
+        cone = slice(steps - t, steps + t + 1, 2)
+        part = parts[:n, ..., cone]
+        squared = np.multiply(part, part, out=squares[:n, ..., : t + 1])
+        # re*re + im*im per coin row, then the two rows
+        rows = np.add(squared[:, :, 0], squared[:, :, 1], out=squared[:, :, 0])
+        p = p_bufs[t % 2, :n]
+        np.add(rows[:, 0], rows[:, 1], out=p[:, cone])
+        return p
 
-    def record_variance(t: int, a: np.ndarray) -> None:
-        for row in realization_rows(t, a):
-            per_step[t] += _moments(row, positions, positions_squared)[1]
+    def record_variances(t: int, a: np.ndarray) -> None:
+        step_variances[: len(a), t] = _variances(
+            probabilities(len(a), t), positions, positions_squared
+        )
 
-    observe = record_variance if track_per_step else None
-    for first in range(0, walks, chunk):
-        indices = range(first, min(first + chunk, walks))
-        params = np.stack([sample_schedule(spec, steps, master_seed, r) for r in indices], axis=1)
-        coins = coin_matrices(params.reshape(-1, 3)).reshape(steps, len(indices), 2, 2)
-        amps = amps_buf[: len(indices)]
+    observe = record_variances if track_per_step else None
+    while batch := list(itertools.islice(walks, chunk)):
+        n = len(batch)
+        params = np.stack(
+            [sample_schedule(pairs[e][0], steps, master_seed, r) for e, r, _ in batch], axis=1
+        )
+        coins = coin_matrices(params.reshape(-1, 3)).reshape(steps, n, 2, 2)
+        amps = amps_buf[:n]
         amps[...] = start_amps
-        # tracking fills only the light cone, and the previous chunk's final
-        # rows filled every column
-        p_buf.fill(0.0)
+        # a step writes one parity of its light cone, and the previous
+        # chunk's last steps wrote those sites out to the edge
+        p_bufs.fill(0.0)
         evolve_in_place(amps, coins, observe=observe)
-        for r, row in enumerate(realization_rows(steps, amps), start=first):
-            _check_total(row)
-            mean_p += row
-            final_variances[r] = _moments(row, positions, positions_squared)[1]
+        p = probabilities(n, steps)
+        variances = _variances(p, positions, positions_squared)
+        for j, (e, r, c) in enumerate(batch):
+            _check_total(p[j])
+            final_variances[e][r : r + c] = variances[j]
+            for _ in range(c):
+                mean_ps[e] += p[j]
+                if track_per_step:
+                    per_steps[e] += step_variances[j]
 
-    mean_p /= realizations
-    if per_step is not None:
-        per_step /= realizations
-    return EnsembleStats(
-        realizations=realizations,
-        mean_distribution=PositionDistribution(t=steps, p=mean_p),
-        mean_variance=float(final_variances.mean()),
-        variance_of_variance=float(final_variances.var()),
-        per_step_variance=per_step,
-    )
+    results = []
+    for (_, realizations), mean_p, variances, per_step in zip(
+        pairs, mean_ps, final_variances, per_steps
+    ):
+        mean_p /= realizations
+        if per_step is not None:
+            per_step /= realizations
+        results.append(
+            EnsembleStats(
+                realizations=realizations,
+                mean_distribution=PositionDistribution(t=steps, p=mean_p),
+                mean_variance=float(variances.mean()),
+                variance_of_variance=float(variances.var()),
+                per_step_variance=per_step,
+            )
+        )
+    return results

@@ -22,11 +22,10 @@ import numpy as np
 
 from coinwalk import __version__
 from coinwalk.analysis import (
-    EnsembleStats,
     classical_rw_distribution,
     localization_length,
     metrics_from_distribution,
-    run_ensemble,
+    run_ensembles,
     variance,
 )
 from coinwalk.core import InitialStateParams, exact_int
@@ -284,11 +283,6 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 # output writers
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits: lossless round-trip for float64
-    return format(float(value), ".17g")
-
-
 def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -301,17 +295,27 @@ def _write_json(path: Path, obj: dict) -> None:
 def _write_table(path: Path, fmt: str, columns: dict, head: dict | None = None) -> None:
     """Write named, equally long columns as CSV or as one JSON object.
 
-    The first column holds integers and the others floats.  The entries of
-    ``head`` come first in the JSON object; CSV has no place for them.
+    The first column holds integers and the others finite floats.  The
+    entries of ``head`` come first in the JSON object; CSV has no place for
+    them.  Floats are written with 17 significant digits in CSV, a lossless
+    round trip for float64, and the JSON text is the one
+    ``json.dumps(obj, indent=2)`` gives, assembled directly because the
+    standard encoder runs in pure Python when ``indent`` is set.
     """
     first, *rest = columns
     ints = [int(v) for v in columns[first]]
-    floats = {name: list(map(float, columns[name])) for name in rest}
+    floats = {name: [float(v) for v in columns[name]] for name in rest}
     if fmt == "csv":
-        rows = zip(map(str, ints), *(map(_fmt, col) for col in floats.values()))
+        texts = [["%.17g" % v for v in col] for col in floats.values()]
+        rows = zip(map(str, ints), *texts)
         _write_text(path, "\n".join([",".join(columns), *map(",".join, rows)]) + "\n")
-    else:
-        _write_json(path, {**(head or {}), first: ints, **floats})
+        return
+    items = [f"  {json.dumps(name)}: {json.dumps(value)}" for name, value in (head or {}).items()]
+    for name, values in {first: ints, **floats}.items():
+        # json writes a finite float as its repr, and an empty list as []
+        body = "[\n    " + ",\n    ".join(map(repr, values)) + "\n  ]" if values else "[]"
+        items.append(f"  {json.dumps(name)}: {body}")
+    _write_text(path, "{\n" + ",\n".join(items) + "\n}\n")
 
 
 def _write_meta(path: Path, config: ExperimentConfig, outputs: list[str]) -> None:
@@ -382,18 +386,29 @@ def _ordered_spec(theta: float) -> DisorderSpec:
     return DisorderSpec(zero, ParameterRange(theta, theta), zero)
 
 
-def _walk(
-    config: ExperimentConfig, spec: DisorderSpec, steps: int, realizations: int, walks: dict
-) -> EnsembleStats:
-    """The ensemble statistics of one walk; a single walk is one realization.
+def _walk_keys(spec: DisorderSpec, steps: int, realizations: int, classical: bool) -> list:
+    """The walks one panel needs: its own, and the ordered reference if it is compared with one."""
+    keys = [(spec, steps, realizations)]
+    if not classical and spec.mode == PER_STEP_RANDOM:
+        keys.append((_ordered_spec(DEFAULT_REFERENCE_THETA), steps, 1))
+    return keys
 
-    ``walks`` caches the results of one invocation, whose seed is fixed, so
-    a walk that two panels need runs once.
+
+def _run_walks(config: ExperimentConfig, keys: list, track_per_step: bool = False) -> dict:
+    """Run each distinct ``(spec, steps, realizations)`` walk once, one batch per length.
+
+    A walk that two panels need, such as an ordered panel that doubles as
+    the reference walk, runs once; a single walk is one realization.
     """
-    key = (spec, steps, realizations)
-    if key not in walks:
-        walks[key] = run_ensemble(spec, config.initial, steps, realizations, config.master_seed)
-    return walks[key]
+    by_steps: dict[int, list] = {}
+    for key in dict.fromkeys(keys):
+        by_steps.setdefault(key[1], []).append(key)
+    walks = {}
+    for steps, group in by_steps.items():
+        pairs = [(spec, realizations) for spec, _, realizations in group]
+        stats = run_ensembles(pairs, config.initial, steps, config.master_seed, track_per_step)
+        walks.update(zip(group, stats))
+    return walks
 
 
 def _run_panel(
@@ -406,12 +421,14 @@ def _run_panel(
     walks: dict,
     classical: bool = False,
 ) -> dict:
-    """Walk ``spec``, write its distribution to ``path`` and return its metrics.
+    """Write the distribution of walk ``spec`` to ``path`` and return its metrics.
 
-    A disordered walk's metrics compare it with the ordered reference walk
-    of the same length, unless the panel is ``classical``.
+    ``walks`` holds every walk :func:`_walk_keys` names for the panel.  A
+    disordered walk's metrics compare it with the ordered reference walk of
+    the same length, unless the panel is ``classical``.
     """
-    stats = _walk(config, spec, steps, realizations, walks)
+    own, *reference = _walk_keys(spec, steps, realizations, classical)
+    stats = walks[own]
     dist = stats.mean_distribution
     m = metrics_from_distribution(dist)
     payload = {
@@ -432,9 +449,8 @@ def _run_panel(
         crw = classical_rw_distribution(steps)
         columns["p_crw"] = crw.p
         payload["crw_variance"] = variance(crw)
-    elif spec.mode == PER_STEP_RANDOM:
-        reference = _ordered_spec(DEFAULT_REFERENCE_THETA)
-        reference_variance = _walk(config, reference, steps, 1, walks).mean_variance
+    elif reference:
+        reference_variance = walks[reference[0]].mean_variance
         payload["reference_theta"] = DEFAULT_REFERENCE_THETA
         payload["reference_variance"] = reference_variance
         payload["loc_length_ratio"] = localization_length(
@@ -446,13 +462,19 @@ def _run_panel(
 
 
 def _recipe_panels(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[str]]:
-    walks: dict = {}
-    metrics: dict[str, dict] = {}
-    outputs: list[str] = []
+    panels = []
     for panel in RECIPE_PANELS[config.recipe]:
         spec = preset_spec(panel.preset)
         # an ordered walk is the same in every realization
         realizations = 1 if spec.mode == ORDERED else config.realizations
+        panels.append((panel, spec, realizations))
+    walks = _run_walks(config, [
+        key for panel, spec, realizations in panels
+        for key in _walk_keys(spec, panel.steps, realizations, panel.classical)
+    ])
+    metrics: dict[str, dict] = {}
+    outputs: list[str] = []
+    for panel, spec, realizations in panels:
         name = f"{panel.stem}.{config.format}"
         metrics[panel.stem] = _run_panel(
             config, out_dir / name, spec, panel.preset, panel.steps, realizations, walks,
@@ -465,26 +487,21 @@ def _recipe_panels(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[
 def _recipe_fig4(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[str]]:
     steps = 400
     reference_thetas = (math.pi / 6, math.pi / 4, math.pi / 3)
-    spec = preset_spec("theta-high")
-    num_stats = run_ensemble(
-        spec, config.initial, steps, config.realizations, config.master_seed,
-        track_per_step=True,
-    )
-    num_sigma = np.sqrt(num_stats.per_step_variance)
+    num_key = (preset_spec("theta-high"), steps, config.realizations)
+    ref_keys = [(_ordered_spec(theta), steps, 1) for theta in reference_thetas]
+    walks = _run_walks(config, [num_key, *ref_keys], track_per_step=True)
+    num_sigma = np.sqrt(walks[num_key].per_step_variance)
 
     metrics: dict[str, dict] = {}
     times = range(1, steps + 1)
     columns: dict[str, list] = {"t": [], "theta_ref": [], "loc_length": []}
-    for theta in reference_thetas:
-        ref_stats = run_ensemble(
-            _ordered_spec(theta), config.initial, steps, 1, config.master_seed, track_per_step=True
-        )
-        ref_sigma = np.sqrt(ref_stats.per_step_variance)
+    for theta, ref_key in zip(reference_thetas, ref_keys):
+        ref_sigma = np.sqrt(walks[ref_key].per_step_variance)
         ratios = [localization_length(float(num_sigma[t]), float(ref_sigma[t])) for t in times]
         columns["t"] += times
         columns["theta_ref"] += [theta] * steps
         columns["loc_length"] += ratios
-        metrics[f"theta_ref_{_fmt(theta)}"] = {
+        metrics[f"theta_ref_{theta:.17g}"] = {
             "theta_ref": theta,
             "realizations": config.realizations,
             "seed": config.master_seed,
@@ -507,8 +524,10 @@ def run_experiment(config: ExperimentConfig) -> int:
     out = config.output_path
     if config.recipe is None:
         out.parent.mkdir(parents=True, exist_ok=True)
+        keys = _walk_keys(config.spec, config.steps, config.realizations, classical=False)
         payload = _run_panel(
-            config, out, config.spec, config.preset, config.steps, config.realizations, {}
+            config, out, config.spec, config.preset, config.steps, config.realizations,
+            _run_walks(config, keys),
         )
         _write_json(out.with_suffix(".metrics.json"), payload)
         _write_meta(out.with_suffix(".meta.json"), config, [out.name])

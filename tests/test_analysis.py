@@ -16,6 +16,7 @@ from coinwalk.analysis import (
     localization_length,
     metrics_from_distribution,
     run_ensemble,
+    run_ensembles,
     spreading_exponent,
     symmetry_deviation,
     variance,
@@ -403,3 +404,55 @@ class TestRunEnsemble:
         stats = run_ensemble(spec, SYM, np.int64(12), np.int64(3), master_seed=4,
                              track_per_step=True)
         assert_same_ensemble(stats, reference_ensemble(spec, 12, 3, 4, True))
+
+
+class TestRunEnsembles:
+    #: hadamard-ordered R = 3, theta-high R = 3, full-range R = 1, and
+    #: theta-high R = 3 listed a second time
+    PAIRS = [("hadamard-ordered", 3), ("theta-high", 3), ("full-range", 1), ("theta-high", 3)]
+
+    @pytest.mark.parametrize("track", [False, True], ids=["final", "per-step"])
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 4], ids=["module", "1", "2", "4"])
+    def test_equals_one_run_ensemble_per_pair_bit_for_bit(self, monkeypatch, chunk, track):
+        steps, width = 30, 61
+        if chunk is not None:
+            # the 8 walks split inside the theta-high pairs and across pairs
+            monkeypatch.setattr(analysis, "_CHUNK_BYTES", chunk * 2 * 2 * width * 16)
+            assert analysis._chunk_size(width) == chunk
+        pairs = [(preset_spec(name), realizations) for name, realizations in self.PAIRS]
+        batched = run_ensembles(pairs, SYM, steps, 6, track_per_step=track)
+        assert len(batched) == len(pairs)
+        for stats, (spec, realizations) in zip(batched, pairs):
+            alone = run_ensemble(spec, SYM, steps, realizations, 6, track_per_step=track)
+            assert stats.realizations == realizations
+            assert stats.mean_distribution.p.tobytes() == alone.mean_distribution.p.tobytes()
+            assert stats.mean_variance == alone.mean_variance
+            assert stats.variance_of_variance == alone.variance_of_variance
+            if track:
+                assert stats.per_step_variance.tobytes() == alone.per_step_variance.tobytes()
+            else:
+                assert stats.per_step_variance is None
+
+    def test_each_pair_equals_the_per_realization_loop(self):
+        pairs = [(preset_spec(name), realizations) for name, realizations in self.PAIRS]
+        for stats, (spec, realizations) in zip(run_ensembles(pairs, SYM, 24, 9, True), pairs):
+            assert_same_ensemble(stats, reference_ensemble(spec, 24, realizations, 9, True))
+
+    @pytest.mark.parametrize(
+        "realizations", [True, 2.0, 0, -1], ids=["bool", "float", "zero", "negative"]
+    )
+    def test_bad_realizations_rejected_before_any_walk(self, monkeypatch, realizations):
+        sampled = []
+        monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
+        # the bad pair comes last, after a good one
+        pairs = [(preset_spec("theta-high"), 2), (preset_spec("full-range"), realizations)]
+        with pytest.raises(InvalidParameterError):
+            run_ensembles(pairs, SYM, 10, 1)
+        assert sampled == []
+
+    def test_no_ensembles_rejected(self, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
+        with pytest.raises(InvalidParameterError, match="at least one ensemble"):
+            run_ensembles([], SYM, 10, 1)
+        assert sampled == []

@@ -344,36 +344,41 @@ class TestRecipes:
 
 
 def count_walks(monkeypatch):
-    """Record every walk the CLI starts, one entry per ``run_ensemble`` call."""
-    walks = []
+    """Record every batch of walks the CLI starts, one list of pairs per ``run_ensembles`` call."""
+    batches = []
 
-    def counted(*args, _real=cli.run_ensemble, **kwargs):
-        walks.append(args)
-        return _real(*args, **kwargs)
+    def counted(ensembles, *args, _real=cli.run_ensembles, **kwargs):
+        batches.append(list(ensembles))
+        return _real(ensembles, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_ensemble", counted)
-    return walks
+    monkeypatch.setattr(cli, "run_ensembles", counted)
+    return batches
 
 
 class TestWalkCounts:
     @pytest.mark.parametrize(
-        "recipe, expected", [("fig1", 1), ("fig2", 4), ("fig3", 6), ("fig4", 4)]
+        "recipe, expected, calls",
+        [("fig1", 1, 1), ("fig2", 4, 1), ("fig3", 6, 3), ("fig4", 4, 1)],
+        ids=["fig1-1", "fig2-4", "fig3-6", "fig4-4"],
     )
     def test_recipe_reuses_its_ordered_panels_as_reference(
-        self, tmp_path, monkeypatch, recipe, expected
+        self, tmp_path, monkeypatch, recipe, expected, calls
     ):
-        walks = count_walks(monkeypatch)
+        batches = count_walks(monkeypatch)
         assert main(["--recipe", recipe, "--realizations", "2", "--out", str(tmp_path)]) == 0
-        assert len(walks) == expected
+        assert sum(map(len, batches)) == expected
+        # one batch per walk length
+        assert len(batches) == calls
 
     @pytest.mark.parametrize("preset, expected", [("hadamard-ordered", 1), ("theta-high", 2)])
     def test_plain_run_adds_the_reference_walk_only_when_disordered(
         self, tmp_path, monkeypatch, preset, expected
     ):
-        walks = count_walks(monkeypatch)
+        batches = count_walks(monkeypatch)
         args = ["--preset", preset, "--steps", "20", "--out", str(tmp_path / "run.csv")]
         assert main(args) == 0
-        assert len(walks) == expected
+        assert sum(map(len, batches)) == expected
+        assert len(batches) == 1
 
 
 class TestReproducibility:

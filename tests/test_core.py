@@ -667,6 +667,34 @@ class TestZgemmColumnBits:
             assert same_bits(tail[..., 4:], full[..., width - r :].copy()), width
 
 
+class TestVecdotRowBits:
+    """The fact about ``np.vecdot`` that the ensemble reductions rely on.
+
+    ``np.vecdot(P, x)`` gives every row of a 2-D ``P`` the bits of
+    ``np.dot(row, x)``: with numpy 2.4.6 on OpenBLAS 0.3.31 both call BLAS
+    ``ddot`` per row, while ``P @ x`` rounded differently at every batch
+    size above 1.  A numpy or BLAS change that breaks it fails here by
+    name, not only through a pinned digest.
+    """
+
+    @pytest.mark.parametrize("width", [201, 203, 401, 605, 801, 1203, 1601])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 10, 37, 400])
+    def test_each_row_gets_the_bits_of_np_dot(self, width, batch):
+        rng = np.random.default_rng(width * 1000 + batch)
+        half = width // 2
+        x = np.arange(-half, half + 1, dtype=np.float64)
+        p = rng.random((batch, width))
+        # a walk after t steps holds probability on one parity of sites only
+        parity = rng.integers(0, 3, batch)
+        for row, off in zip(p, parity):
+            if off < 2:
+                row[off::2] = 0.0
+        p /= p.sum(axis=1, keepdims=True)
+        for moment in (x, x * x):
+            rows = np.array([np.dot(row, moment) for row in p])
+            assert np.vecdot(p, moment).tobytes() == rows.tobytes()
+
+
 def subnormal_parts(a: np.ndarray) -> int:
     """Real and imaginary parts of ``a`` that are non-zero but below the smallest normal."""
     parts = np.abs(np.stack([a.real, a.imag]))
