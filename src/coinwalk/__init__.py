@@ -10,91 +10,12 @@ ensembles, computes spread statistics, and ships a CLI that writes
 reproducible CSV/JSON runs.
 """
 
-from coinwalk.analysis import (
-    EnsembleStats,
-    PositionDistribution,
-    RunMetrics,
-    classical_rw_distribution,
-    distribution_from_state,
-    localization_length,
-    metrics_from_distribution,
-    run_ensemble,
-    run_ensembles,
-    spreading_exponent,
-    symmetry_deviation,
-    variance,
-)
-from coinwalk.core import (
-    CoinParams,
-    InitialStateParams,
-    WalkState,
-    build_initial_state,
-    check_state,
-    coin_matrices,
-    evolve,
-    evolve_in_place,
-    evolve_ordered,
-)
-from coinwalk.disorder import (
-    ORDERED,
-    PER_STEP_RANDOM,
-    PRESET_NAMES,
-    SEED_MIXER_ID,
-    DisorderSpec,
-    ParameterRange,
-    derive_stream_seed,
-    evolve_disordered,
-    preset_spec,
-    sample_schedule,
-)
-from coinwalk.errors import (
-    CapacityError,
-    InvalidParameterError,
-    NormDriftError,
-    WalkError,
-)
+from coinwalk import analysis, core, disorder, errors
+from coinwalk.analysis import *  # noqa: F403
+from coinwalk.core import *  # noqa: F403
+from coinwalk.disorder import *  # noqa: F403
+from coinwalk.errors import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "CoinParams",
-    "InitialStateParams",
-    "WalkState",
-    "coin_matrices",
-    "build_initial_state",
-    "evolve_in_place",
-    "evolve",
-    "evolve_ordered",
-    "check_state",
-    # disorder
-    "ORDERED",
-    "PER_STEP_RANDOM",
-    "PRESET_NAMES",
-    "SEED_MIXER_ID",
-    "ParameterRange",
-    "DisorderSpec",
-    "preset_spec",
-    "derive_stream_seed",
-    "sample_schedule",
-    "evolve_disordered",
-    # analysis
-    "PositionDistribution",
-    "RunMetrics",
-    "EnsembleStats",
-    "distribution_from_state",
-    "variance",
-    "classical_rw_distribution",
-    "localization_length",
-    "spreading_exponent",
-    "symmetry_deviation",
-    "metrics_from_distribution",
-    "run_ensemble",
-    "run_ensembles",
-    # errors
-    "WalkError",
-    "InvalidParameterError",
-    "CapacityError",
-    "NormDriftError",
-]
+__all__ = ["__version__", *core.__all__, *disorder.__all__, *analysis.__all__, *errors.__all__]

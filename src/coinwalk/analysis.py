@@ -108,27 +108,18 @@ class EnsembleStats:
     per_step_variance: np.ndarray | None = None
 
 
-def _moments(p: np.ndarray, x: np.ndarray, x_squared: np.ndarray) -> tuple[float, float]:
-    mean = float(np.dot(p, x))
-    second = float(np.dot(p, x_squared))
-    return mean, max(second - mean * mean, 0.0)
+def _moments(p: np.ndarray, x: np.ndarray, x_squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and central second moment of each row of ``p`` at positions ``x``.
 
-
-def _float_positions(dist: PositionDistribution) -> tuple[np.ndarray, np.ndarray]:
-    x = dist.positions.astype(np.float64)
-    return x, x * x
-
-
-def _variances(p: np.ndarray, x: np.ndarray, x_squared: np.ndarray) -> np.ndarray:
-    """Central second moment of each row of ``p``, clipped at zero like :func:`variance`.
-
-    Each moment is one ``np.vecdot`` over all rows, which gives every row the
-    bits of ``np.dot(row, x)``: both call BLAS ``ddot`` per row, while
-    ``p @ x`` and ``einsum`` round differently (``TestVecdotRowBits`` pins this).
+    The variance is clipped at zero to absorb rounding when all mass sits on
+    one site.  Each moment is one ``np.vecdot`` over all rows, which gives
+    every row the bits of ``np.dot(row, x)``: both call BLAS ``ddot`` per row,
+    while ``p @ x`` and ``einsum`` round differently (``TestVecdotRowBits``
+    pins this).
     """
     mean = np.vecdot(p, x)
     second = np.vecdot(p, x_squared)
-    return np.maximum(second - mean * mean, 0.0)
+    return mean, np.maximum(second - mean * mean, 0.0)
 
 
 def _check_total(p: np.ndarray) -> None:
@@ -164,7 +155,8 @@ def variance(dist: PositionDistribution) -> float:
 
     Clipped at zero to absorb rounding when all mass sits on one site.
     """
-    return _moments(dist.p, *_float_positions(dist))[1]
+    x = dist.positions.astype(np.float64)
+    return float(_moments(dist.p, x, x * x)[1])
 
 
 def classical_rw_distribution(steps: int) -> PositionDistribution:
@@ -244,7 +236,8 @@ def symmetry_deviation(dist: PositionDistribution) -> float:
 
 def metrics_from_distribution(dist: PositionDistribution) -> RunMetrics:
     """Bundle the standard summary statistics of one distribution."""
-    mean, var = _moments(dist.p, *_float_positions(dist))
+    x = dist.positions.astype(np.float64)
+    mean, var = map(float, _moments(dist.p, x, x * x))
     return RunMetrics(
         variance=var,
         std_dev=math.sqrt(var),
@@ -374,9 +367,9 @@ def run_ensembles(
         return p
 
     def record_variances(t: int, a: np.ndarray) -> None:
-        step_variances[: len(a), t] = _variances(
+        step_variances[: len(a), t] = _moments(
             probabilities(len(a), t), positions, positions_squared
-        )
+        )[1]
 
     observe = record_variances if track_per_step else None
     while batch := list(itertools.islice(walks, chunk)):
@@ -392,7 +385,7 @@ def run_ensembles(
         p_bufs.fill(0.0)
         evolve_in_place(amps, coins, observe=observe)
         p = probabilities(n, steps)
-        variances = _variances(p, positions, positions_squared)
+        _, variances = _moments(p, positions, positions_squared)
         for j, (e, r, c) in enumerate(batch):
             _check_total(p[j])
             final_variances[e][r : r + c] = variances[j]

@@ -36,6 +36,7 @@ from coinwalk.disorder import (
     SEED_MIXER_ID,
     DisorderSpec,
     ParameterRange,
+    ordered_spec,
     preset_spec,
 )
 from coinwalk.errors import WalkError
@@ -159,13 +160,24 @@ def _real(flag: str, value):
     raise UsageError(f"{flag} must be a number, got {value!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object of a config file whose keys name each flag once, ``-`` and ``_`` alike."""
+    seen = set()
+    for key, _ in pairs:
+        name = key.replace("-", "_")
+        if name in seen:
+            raise UsageError(f"--config: key {name!r} given twice")
+        seen.add(name)
+    return dict(pairs)
+
+
 def _load_config_file(path: str, known: set[str]) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"--config: cannot read {path!r} ({exc})") from None
     try:
-        values = json.loads(raw)
+        values = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise UsageError(f"--config: {path!r} is not valid JSON ({exc})") from None
     if not isinstance(values, dict):
@@ -380,25 +392,21 @@ RECIPE_PANELS = {
 }
 
 
-def _ordered_spec(theta: float) -> DisorderSpec:
-    """The walk with coin angle ``theta`` and zero phases at every step."""
-    zero = ParameterRange(0.0, 0.0)
-    return DisorderSpec(zero, ParameterRange(theta, theta), zero)
-
-
-def _walk_keys(spec: DisorderSpec, steps: int, realizations: int, classical: bool) -> list:
-    """The walks one panel needs: its own, and the ordered reference if it is compared with one."""
+def _walk_keys(panel: tuple) -> list:
+    """The walks a panel needs: its own, and the ordered reference if it is compared with one."""
+    _, spec, _, steps, realizations, classical = panel
     keys = [(spec, steps, realizations)]
     if not classical and spec.mode == PER_STEP_RANDOM:
-        keys.append((_ordered_spec(DEFAULT_REFERENCE_THETA), steps, 1))
+        keys.append((ordered_spec(DEFAULT_REFERENCE_THETA), steps, 1))
     return keys
 
 
 def _run_walks(config: ExperimentConfig, keys: list, track_per_step: bool = False) -> dict:
     """Run each distinct ``(spec, steps, realizations)`` walk once, one batch per length.
 
-    A walk that two panels need, such as an ordered panel that doubles as
-    the reference walk, runs once; a single walk is one realization.
+    Keys are told apart by value, so a walk that two panels need, such as an
+    ordered panel that doubles as the reference walk, runs once; a single
+    walk is one realization.
     """
     by_steps: dict[int, list] = {}
     for key in dict.fromkeys(keys):
@@ -411,84 +419,72 @@ def _run_walks(config: ExperimentConfig, keys: list, track_per_step: bool = Fals
     return walks
 
 
-def _run_panel(
-    config: ExperimentConfig,
-    path: Path,
-    spec: DisorderSpec,
-    preset: str | None,
-    steps: int,
-    realizations: int,
-    walks: dict,
-    classical: bool = False,
-) -> dict:
-    """Write the distribution of walk ``spec`` to ``path`` and return its metrics.
+def _run_panels(config: ExperimentConfig, panels: list[tuple]) -> list[dict]:
+    """Write each panel's distribution and return the panels' metrics, in order.
 
-    ``walks`` holds every walk :func:`_walk_keys` names for the panel.  A
-    disordered walk's metrics compare it with the ordered reference walk of
-    the same length, unless the panel is ``classical``.
+    A panel is ``(path, spec, preset, steps, realizations, classical)``.  The
+    walks every panel needs (:func:`_walk_keys`) run in one
+    :func:`_run_walks` call.  A disordered walk's metrics compare it with the
+    ordered reference walk of the same length, unless the panel is
+    ``classical``.
     """
-    own, *reference = _walk_keys(spec, steps, realizations, classical)
-    stats = walks[own]
-    dist = stats.mean_distribution
-    m = metrics_from_distribution(dist)
-    payload = {
-        "steps": dist.t,
-        "preset": preset,
-        "seed": config.master_seed,
-        "realizations": realizations,
-        "variance": m.variance,
-        "std_dev": m.std_dev,
-        "mean": m.mean,
-        "symmetry_deviation": m.symmetry_deviation,
-    }
-    if realizations > 1:
-        payload["mean_variance"] = stats.mean_variance
-        payload["variance_of_variance"] = stats.variance_of_variance
-    columns = {"x": dist.positions, "p" if realizations == 1 else "p_mean": dist.p}
-    if classical:
-        crw = classical_rw_distribution(steps)
-        columns["p_crw"] = crw.p
-        payload["crw_variance"] = variance(crw)
-    elif reference:
-        reference_variance = walks[reference[0]].mean_variance
-        payload["reference_theta"] = DEFAULT_REFERENCE_THETA
-        payload["reference_variance"] = reference_variance
-        payload["loc_length_ratio"] = localization_length(
-            math.sqrt(stats.mean_variance), math.sqrt(reference_variance)
-        )
-        payload["variance_ratio"] = stats.mean_variance / reference_variance
-    _write_table(path, config.format, columns, {"t": dist.t})
-    return payload
+    plans = [(panel, _walk_keys(panel)) for panel in panels]
+    walks = _run_walks(config, [key for _, keys in plans for key in keys])
+    payloads = []
+    for (path, _, preset, steps, realizations, classical), (own, *reference) in plans:
+        stats = walks[own]
+        dist = stats.mean_distribution
+        m = metrics_from_distribution(dist)
+        payload = {
+            "steps": dist.t,
+            "preset": preset,
+            "seed": config.master_seed,
+            "realizations": realizations,
+            "variance": m.variance,
+            "std_dev": m.std_dev,
+            "mean": m.mean,
+            "symmetry_deviation": m.symmetry_deviation,
+        }
+        if realizations > 1:
+            payload["mean_variance"] = stats.mean_variance
+            payload["variance_of_variance"] = stats.variance_of_variance
+        columns = {"x": dist.positions, "p" if realizations == 1 else "p_mean": dist.p}
+        if classical:
+            crw = classical_rw_distribution(steps)
+            columns["p_crw"] = crw.p
+            payload["crw_variance"] = variance(crw)
+        elif reference:
+            reference_variance = walks[reference[0]].mean_variance
+            payload["reference_theta"] = DEFAULT_REFERENCE_THETA
+            payload["reference_variance"] = reference_variance
+            payload["loc_length_ratio"] = localization_length(
+                math.sqrt(stats.mean_variance), math.sqrt(reference_variance)
+            )
+            payload["variance_ratio"] = stats.mean_variance / reference_variance
+        _write_table(path, config.format, columns, {"t": dist.t})
+        payloads.append(payload)
+    return payloads
 
 
 def _recipe_panels(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[str]]:
+    recipe = RECIPE_PANELS[config.recipe]
     panels = []
-    for panel in RECIPE_PANELS[config.recipe]:
+    for panel in recipe:
         spec = preset_spec(panel.preset)
         # an ordered walk is the same in every realization
         realizations = 1 if spec.mode == ORDERED else config.realizations
-        panels.append((panel, spec, realizations))
-    walks = _run_walks(config, [
-        key for panel, spec, realizations in panels
-        for key in _walk_keys(spec, panel.steps, realizations, panel.classical)
-    ])
-    metrics: dict[str, dict] = {}
-    outputs: list[str] = []
-    for panel, spec, realizations in panels:
-        name = f"{panel.stem}.{config.format}"
-        metrics[panel.stem] = _run_panel(
-            config, out_dir / name, spec, panel.preset, panel.steps, realizations, walks,
-            panel.classical,
-        )
-        outputs.append(name)
-    return metrics, outputs
+        path = out_dir / f"{panel.stem}.{config.format}"
+        panels.append((path, spec, panel.preset, panel.steps, realizations, panel.classical))
+    payloads = _run_panels(config, panels)
+    metrics = {panel.stem: payload for panel, payload in zip(recipe, payloads)}
+    return metrics, [path.name for path, *_ in panels]
 
 
 def _recipe_fig4(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[str]]:
     steps = 400
     reference_thetas = (math.pi / 6, math.pi / 4, math.pi / 3)
     num_key = (preset_spec("theta-high"), steps, config.realizations)
-    ref_keys = [(_ordered_spec(theta), steps, 1) for theta in reference_thetas]
+    ref_keys = [(ordered_spec(theta), steps, 1) for theta in reference_thetas]
     walks = _run_walks(config, [num_key, *ref_keys], track_per_step=True)
     num_sigma = np.sqrt(walks[num_key].per_step_variance)
 
@@ -524,11 +520,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     out = config.output_path
     if config.recipe is None:
         out.parent.mkdir(parents=True, exist_ok=True)
-        keys = _walk_keys(config.spec, config.steps, config.realizations, classical=False)
-        payload = _run_panel(
-            config, out, config.spec, config.preset, config.steps, config.realizations,
-            _run_walks(config, keys),
-        )
+        panel = (out, config.spec, config.preset, config.steps, config.realizations, False)
+        [payload] = _run_panels(config, [panel])
         _write_json(out.with_suffix(".metrics.json"), payload)
         _write_meta(out.with_suffix(".meta.json"), config, [out.name])
         return 0

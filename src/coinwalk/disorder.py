@@ -29,6 +29,7 @@ __all__ = [
     "SEED_MIXER_ID",
     "ParameterRange",
     "DisorderSpec",
+    "ordered_spec",
     "preset_spec",
     "derive_stream_seed",
     "sample_schedule",
@@ -93,6 +94,12 @@ class DisorderSpec:
         return ORDERED if all(r.is_degenerate for r in ranges) else PER_STEP_RANDOM
 
 
+def ordered_spec(theta: float) -> DisorderSpec:
+    """The ordered walk with coin angle ``theta`` and zero phases at every step."""
+    zero = ParameterRange(0.0, 0.0)
+    return DisorderSpec(zero, ParameterRange(theta, theta), zero)
+
+
 def preset_spec(name: str) -> DisorderSpec:
     """Return one of the four bundled disorder specifications.
 
@@ -107,8 +114,7 @@ def preset_spec(name: str) -> DisorderSpec:
     """
     full = ParameterRange(0.0, _HALF_PI)
     if name == "hadamard-ordered":
-        zero = ParameterRange(0.0, 0.0)
-        return DisorderSpec(zero, ParameterRange(_QUARTER_PI, _QUARTER_PI), zero)
+        return ordered_spec(_QUARTER_PI)
     if name == "full-range":
         return DisorderSpec(full, full, full)
     if name == "theta-low":

@@ -74,6 +74,22 @@ class TestParseConfig:
         cfg.write_text(json.dumps({"stepz": 50}))
         assert main(["--config", str(cfg), "--out", "d.csv"]) == 2
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ('{"theta-range": "0:1", "theta_range": "0.2:0.3"}', "theta_range"),
+            ('{"steps": 5, "steps": 7}', "steps"),
+        ],
+        ids=["dash-and-underscore", "same-spelling"],
+    )
+    def test_config_key_given_twice_rejected(self, tmp_path, capsys, text, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "d.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --config: key {name!r} given twice\n"
+        assert not out.exists()
+
     def test_every_flag_but_config_is_a_config_key(self, tmp_path):
         flags = set(vars(build_parser().parse_args([]))) - {"config"}
         plain = {

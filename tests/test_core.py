@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -883,6 +887,46 @@ class TestInvariants:
         state = evolve_ordered(symmetric_state(50), CoinParams(HALF_PI, QUARTER_PI, 0.0), 50)
         p = (np.abs(state.amplitudes) ** 2).sum(axis=0)
         assert np.max(np.abs(p - p[::-1])) > 1e-3
+
+
+#: A state that breaks each invariant of ``check_state``, as source text, and
+#: a word of the message it must raise with.
+BROKEN_STATES = {
+    "norm": ("WalkState(0, [[5.0], [0.0]])", "norm"),
+    "light-cone": ("WalkState(2, [[0, 0, 0, 0, 1], [0, 0, 0, 0, 0]])", "light cone"),
+    "parity": ("WalkState(1, [[0, 1, 0], [0, 0, 0]], 1)", "wrong-parity"),
+}
+
+
+class TestCheckState:
+    @pytest.mark.parametrize("source, message", BROKEN_STATES.values(), ids=BROKEN_STATES)
+    def test_rejects_a_broken_state(self, source, message):
+        with pytest.raises(AssertionError, match=message):
+            check_state(eval(source, {"WalkState": WalkState}))
+
+    @pytest.mark.parametrize("source, message", BROKEN_STATES.values(), ids=BROKEN_STATES)
+    def test_rejects_a_broken_state_under_python_O(self, source, message):
+        code = "\n".join([
+            "import sys",
+            "from coinwalk.core import WalkState, check_state",
+            "if __debug__:",
+            "    sys.exit('assert statements are enabled')",
+            "try:",
+            f"    check_state({source})",
+            "except AssertionError as exc:",
+            "    print(exc)",
+            "else:",
+            "    sys.exit('check_state accepted the state')",
+        ])
+        paths = [str(Path(core.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert result.returncode == 0, result.stderr
+        assert message in result.stdout
+
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from coinwalk.disorder import (
     ParameterRange,
     derive_stream_seed,
     evolve_disordered,
+    ordered_spec,
     preset_spec,
     sample_schedule,
 )
@@ -103,6 +104,9 @@ class TestPresets:
         assert spec.xi_range.low == spec.xi_range.high == 0.0
         assert spec.zeta_range.low == spec.zeta_range.high == 0.0
 
+    def test_hadamard_ordered_is_the_ordered_spec_at_quarter_pi(self):
+        assert preset_spec("hadamard-ordered") == ordered_spec(math.pi / 4)
+
     def test_full_range_spans_quarter_turn(self):
         spec = preset_spec("full-range")
         for rng in (spec.xi_range, spec.theta_range, spec.zeta_range):
@@ -111,6 +115,21 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(InvalidParameterError):
             preset_spec("theta-medium")
+
+
+class TestOrderedSpec:
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 6, QUARTER_PI, math.pi / 3, HALF_PI, 2.5])
+    def test_pins_theta_and_zero_phases(self, theta):
+        spec = ordered_spec(theta)
+        assert spec.mode == ORDERED
+        assert spec.theta_range.low == spec.theta_range.high == theta
+        assert spec.xi_range.low == spec.xi_range.high == 0.0
+        assert spec.zeta_range.low == spec.zeta_range.high == 0.0
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, True, "0.5"])
+    def test_non_finite_or_non_numeric_theta_rejected(self, theta):
+        with pytest.raises(InvalidParameterError):
+            ordered_spec(theta)
 
 
 class TestSeedMixer:
