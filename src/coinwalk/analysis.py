@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from coinwalk.core import (
     WalkState,
     build_initial_state,
     coin_matrices,
-    evolve_in_place,
+    _walk_steps,
     exact_count,
     exact_int,
 )
@@ -176,29 +177,42 @@ def classical_rw_distribution(steps: int) -> PositionDistribution:
     return PositionDistribution(t=steps, p=p)
 
 
-def localization_length(sigma_disordered: float, sigma_ordered: float) -> float:
+def localization_length(
+    sigma_disordered: float | np.ndarray, sigma_ordered: float | np.ndarray
+) -> float | np.ndarray:
     """Ratio of the disordered walk's spread to the ordered walk's spread.
 
-    Both arguments are standard deviations in lattice sites.  Values well
-    below 1 mean the disordered walk stays confined relative to the ordered
-    reference.
+    Both arguments are standard deviations in lattice sites, as two numbers
+    or two arrays of one shape; arrays give the elementwise ratios.  Values
+    well below 1 mean the disordered walk stays confined relative to the
+    ordered reference.
 
     Raises
     ------
     InvalidParameterError
-        If either spread is not finite, the ordered spread is not positive
-        or the disordered one is negative.
+        If the shapes differ, or any spread is not finite, any ordered
+        spread is not positive or any disordered one is negative; the
+        message names the first such value.
     """
+    disordered = np.asarray(sigma_disordered)
+    ordered = np.asarray(sigma_ordered)
+    if disordered.shape != ordered.shape:
+        raise InvalidParameterError(
+            f"spreads must have one shape, got {disordered.shape} and {ordered.shape}"
+        )
     # written so that NaN fails too
-    if not 0 < sigma_ordered < math.inf:
+    bad = ~((0 < ordered) & (ordered < math.inf))
+    if bad.any():
         raise InvalidParameterError(
-            f"ordered spread must be finite and > 0, got {sigma_ordered!r}"
+            f"ordered spread must be finite and > 0, got {ordered[bad].flat[0].item()!r}"
         )
-    if not 0 <= sigma_disordered < math.inf:
+    bad = ~((0 <= disordered) & (disordered < math.inf))
+    if bad.any():
         raise InvalidParameterError(
-            f"disordered spread must be finite and >= 0, got {sigma_disordered!r}"
+            f"disordered spread must be finite and >= 0, got {disordered[bad].flat[0].item()!r}"
         )
-    return sigma_disordered / sigma_ordered
+    ratio = disordered / ordered
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def spreading_exponent(series: list[tuple[float, float]]) -> float:
@@ -249,13 +263,23 @@ def metrics_from_distribution(dist: PositionDistribution) -> RunMetrics:
 def _chunk_size(width: int) -> int:
     """Realizations per chunk: ``_CHUNK_BYTES`` over two (2, width) complex arrays each.
 
-    For a walk from one site the kernel holds about two and a half such
-    arrays per realization: the caller's array, the two half-lattice
-    buffers of the one parity class that holds amplitude (about one array
-    together) and a zero array of half one.  A chunk's kernel memory is
-    therefore about 1.25 times ``_CHUNK_BYTES``.
+    For a walk from one site the kernel's two half-lattice buffers take
+    about one such array per realization, the chunk's coins about one more
+    and the final reduction half of one; the start state is one array
+    broadcast to the whole chunk.
     """
     return max(1, _CHUNK_BYTES // (2 * 2 * width * np.dtype(np.complex128).itemsize))
+
+
+def _block_steps(walks: int, steps: int) -> int:
+    """States per block of per-step tracking: an even count, at least 2.
+
+    The largest even count whose light cones, one (2, steps + 1) complex
+    array per walk and state, fit in ``_CHUNK_BYTES``; the block's
+    distributions over the whole lattice take half as much again.
+    """
+    cone_bytes = walks * 2 * (steps + 1) * np.dtype(np.complex128).itemsize
+    return max(2, _CHUNK_BYTES // cone_bytes // 2 * 2)
 
 
 def run_ensemble(
@@ -275,15 +299,19 @@ def run_ensemble(
     and does not depend on the chunk size.  An ordered ``spec`` gives the
     same walk in every realization, so that walk is evolved once and
     reduced once per realization.  With ``track_per_step`` the
-    ensemble-mean variance is recorded after every step, which costs |a|^2
-    over one parity of the light cone and one ``np.vecdot`` per moment for
-    each chunk and step.  This is :func:`run_ensembles` with one ensemble.
+    ensemble-mean variance is recorded after every step: each state's light
+    cone is copied from the kernel's half-lattice buffers, and a block of
+    states at a time is squared and reduced, one ``np.vecdot`` per moment
+    for all of the block's walks and steps.  This is :func:`run_ensembles`
+    with one ensemble.
 
     Raises
     ------
     InvalidParameterError
-        If ``steps`` or ``realizations`` is not an integer, ``realizations``
-        < 1 or ``steps`` < 0.
+        If ``spec`` is not a :class:`DisorderSpec`, ``initial`` not an
+        :class:`InitialStateParams`, ``steps`` or ``realizations`` not an
+        integer, ``realizations`` < 1, ``steps`` < 0 or ``track_per_step``
+        not a bool.
     NormDriftError
         If a realization's total probability deviates from 1 by more than
         ``NORM_DRIFT_LIMIT``.
@@ -311,20 +339,35 @@ def run_ensembles(
     Raises
     ------
     InvalidParameterError
-        If ``ensembles`` is empty, ``steps`` or a ``realizations`` is not an
-        integer, a ``realizations`` < 1 or ``steps`` < 0; all are checked
+        If ``ensembles`` is empty or holds an item that is not a ``(spec,
+        realizations)`` pair, a ``spec`` is not a :class:`DisorderSpec`,
+        ``initial`` is not an :class:`InitialStateParams`, ``steps`` or a
+        ``realizations`` is not an integer, a ``realizations`` < 1,
+        ``steps`` < 0 or ``track_per_step`` is not a bool; all are checked
         before any walk runs.
     NormDriftError
         If a realization's total probability deviates from 1 by more than
         ``NORM_DRIFT_LIMIT``.
     """
     steps = exact_count("steps", steps)
-    pairs = [(spec, exact_int("realizations", realizations)) for spec, realizations in ensembles]
-    if not pairs:
-        raise InvalidParameterError("need at least one ensemble")
-    for _, realizations in pairs:
+    if not isinstance(initial, InitialStateParams):
+        raise InvalidParameterError(f"initial must be an InitialStateParams, got {initial!r}")
+    if not isinstance(track_per_step, (bool, np.bool_)):
+        raise InvalidParameterError(f"track_per_step must be a bool, got {track_per_step!r}")
+    pairs = []
+    for pair in ensembles:
+        if not isinstance(pair, Sequence) or len(pair) != 2:
+            raise InvalidParameterError(
+                f"an ensemble must be a (spec, realizations) pair, got {pair!r}"
+            )
+        spec, realizations = pair[0], exact_int("realizations", pair[1])
+        if not isinstance(spec, DisorderSpec):
+            raise InvalidParameterError(f"spec must be a DisorderSpec, got {spec!r}")
         if realizations < 1:
             raise InvalidParameterError(f"realizations must be >= 1, got {realizations}")
+        pairs.append((spec, realizations))
+    if not pairs:
+        raise InvalidParameterError("need at least one ensemble")
     width = 2 * steps + 1
     positions = np.arange(-steps, steps + 1, dtype=np.float64)
     positions_squared = positions * positions
@@ -341,51 +384,66 @@ def run_ensembles(
     )
     total = sum(realizations // c for (_, realizations), c in zip(pairs, copies))
     chunk = min(_chunk_size(width), total)
-    start_amps = build_initial_state(initial, t_max=steps).amplitudes
-    amps_buf = np.empty((chunk, 2, width), dtype=np.complex128)
-    # the float64 parts of amps_buf as (walk, coin row, re/im, site)
-    parts = np.moveaxis(amps_buf.view(np.float64).reshape(chunk, 2, width, 2), -1, -2)
-    squares = np.empty((chunk, 2, 2, steps + 1), dtype=np.float64)
-    # one probability buffer per parity of the step count
-    p_bufs = np.empty((2, chunk, width), dtype=np.float64)
+    start = build_initial_state(initial, t_max=steps).amplitudes
+    # The states reduced, after every step t = 0 .. steps when tracking and
+    # after the last otherwise, pass through blocks of `block` states.  Row
+    # i of a block holds state t's occupied half lattice over the block's
+    # widest cone |x| <= u of t's parity; outside t's own cone those
+    # amplitudes are exact zeros and square to the +0 its distribution has
+    # there.  A tracking block starts at a multiple of its even length, so
+    # row i of `p_block` always holds one parity, and the other parity keeps
+    # the zeros of its fill.
+    block = _block_steps(chunk, steps) if track_per_step else 1
+    cone_buf = np.zeros(block * chunk * 2 * (steps + 1), dtype=np.complex128)
+    p_block = np.empty((block, chunk, width), dtype=np.float64)
     step_variances = np.zeros((chunk, steps + 1), dtype=np.float64)
 
-    def probabilities(n: int, t: int) -> np.ndarray:
-        """|a|^2 summed over the coin axis for the chunk's first n walks after t steps.
+    def reduce(cones: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distributions and variances of the states in ``cones``, the last after t steps."""
+        m, n = cones.shape[:2]
+        parts = cones.view(np.float64)
+        np.multiply(parts, parts, out=parts)
+        # re*re + im*im per coin row, then the two rows, for the rows of the
+        # last state's parity and for those of the other one
+        sums = np.add(parts[..., 0::2], parts[..., 1::2], out=parts[..., 0::2])
+        for first, u in (((m - 1) % 2, t), (m % 2, t - 1)):
+            rows = sums[first::2, :, :, : u + 1]
+            cone = slice(steps - u, steps + u + 1, 2)
+            np.add(rows[:, :, 0], rows[:, :, 1], out=p_block[first:m:2, :n, cone])
+        p = p_block[:m, :n]
+        return p, _moments(p, positions, positions_squared)[1]
 
-        A walk from one site holds amplitude only at the sites |x| <= t with
-        x = t (mod 2), so only those are squared; every other site of the
-        parity's buffer holds the zero it was filled with.
-        """
-        cone = slice(steps - t, steps + t + 1, 2)
-        part = parts[:n, ..., cone]
-        squared = np.multiply(part, part, out=squares[:n, ..., : t + 1])
-        # re*re + im*im per coin row, then the two rows
-        rows = np.add(squared[:, :, 0], squared[:, :, 1], out=squared[:, :, 0])
-        p = p_bufs[t % 2, :n]
-        np.add(rows[:, 0], rows[:, 1], out=p[:, cone])
-        return p
-
-    def record_variances(t: int, a: np.ndarray) -> None:
-        step_variances[: len(a), t] = _moments(
-            probabilities(len(a), t), positions, positions_squared
-        )[1]
-
-    observe = record_variances if track_per_step else None
     while batch := list(itertools.islice(walks, chunk)):
         n = len(batch)
         params = np.stack(
             [sample_schedule(pairs[e][0], steps, master_seed, r) for e, r, _ in batch], axis=1
         )
         coins = coin_matrices(params.reshape(-1, 3)).reshape(steps, n, 2, 2)
-        amps = amps_buf[:n]
-        amps[...] = start_amps
-        # a step writes one parity of its light cone, and the previous
-        # chunk's last steps wrote those sites out to the edge
-        p_bufs.fill(0.0)
-        evolve_in_place(amps, coins, observe=observe)
-        p = probabilities(n, steps)
-        _, variances = _moments(p, positions, positions_squared)
+        amps = np.broadcast_to(start, (n, 2, width))
+        # the previous chunk's last blocks wrote wider cones
+        p_block.fill(0.0)
+        states = itertools.chain(
+            [(0, {steps % 2: amps[..., steps % 2 :: 2]})], _walk_steps(amps, coins, 0)
+        )
+        held = 0
+        for t, halves in states:
+            if not track_per_step and t < steps:
+                continue
+            if not held:
+                last = min(t + block - 1, steps)
+                cones = cone_buf[: (last - t + 1) * n * 2 * (last + 1)]
+                cones = cones.reshape(last - t + 1, n, 2, last + 1)
+            # the block's widest cone of this parity starts at lattice
+            # column steps - u, half-lattice index (steps - u) // 2
+            u = last - (last - t) % 2
+            j = (steps - u) // 2
+            np.copyto(cones[held, :, :, : u + 1], halves[(steps + t) % 2][..., j : j + u + 1])
+            held += 1
+            if t == last:
+                p, variances = reduce(cones, last)
+                step_variances[:n, last - held + 1 : last + 1] = variances.T
+                held = 0
+        p, variances = p[-1], variances[-1]
         for j, (e, r, c) in enumerate(batch):
             _check_total(p[j])
             final_variances[e][r : r + c] = variances[j]

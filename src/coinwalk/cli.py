@@ -10,6 +10,7 @@ the metadata sidecar.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import numbers
@@ -315,17 +316,17 @@ def _write_table(path: Path, fmt: str, columns: dict, head: dict | None = None) 
     standard encoder runs in pure Python when ``indent`` is set.
     """
     first, *rest = columns
-    ints = [int(v) for v in columns[first]]
-    floats = {name: [float(v) for v in columns[name]] for name in rest}
+    # Python ints and floats: %d writes an int as str does
+    values = {name: np.asarray(col).tolist() for name, col in columns.items()}
     if fmt == "csv":
-        texts = [["%.17g" % v for v in col] for col in floats.values()]
-        rows = zip(map(str, ints), *texts)
-        _write_text(path, "\n".join([",".join(columns), *map(",".join, rows)]) + "\n")
+        row = "%d" + ",%.17g" * len(rest) + "\n"
+        body = row * len(values[first]) % tuple(itertools.chain.from_iterable(zip(*values.values())))
+        _write_text(path, ",".join(columns) + "\n" + body)
         return
     items = [f"  {json.dumps(name)}: {json.dumps(value)}" for name, value in (head or {}).items()]
-    for name, values in {first: ints, **floats}.items():
+    for name, column in values.items():
         # json writes a finite float as its repr, and an empty list as []
-        body = "[\n    " + ",\n    ".join(map(repr, values)) + "\n  ]" if values else "[]"
+        body = "[\n    " + ",\n    ".join(map(repr, column)) + "\n  ]" if column else "[]"
         items.append(f"  {json.dumps(name)}: {body}")
     _write_text(path, "{\n" + ",\n".join(items) + "\n}\n")
 
@@ -493,7 +494,7 @@ def _recipe_fig4(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[st
     columns: dict[str, list] = {"t": [], "theta_ref": [], "loc_length": []}
     for theta, ref_key in zip(reference_thetas, ref_keys):
         ref_sigma = np.sqrt(walks[ref_key].per_step_variance)
-        ratios = [localization_length(float(num_sigma[t]), float(ref_sigma[t])) for t in times]
+        ratios = localization_length(num_sigma[1:], ref_sigma[1:]).tolist()
         columns["t"] += times
         columns["theta_ref"] += [theta] * steps
         columns["loc_length"] += ratios

@@ -302,9 +302,12 @@ def evolve_in_place(
     before ``observe`` sees the state and before the next step reads it.
     Such subnormal parts fill the exponentially small tails of long walks
     and make every multiply that touches them many times slower; each
-    squares to exactly 0.  The state goes back into ``amplitudes``, both
-    parities over the window, once at the end, or after every step when
-    ``observe`` is given.
+    squares to exactly 0.  The state goes back into ``amplitudes`` as its
+    two half lattices, the zeros of a parity that holds no amplitude
+    included, once at the end, or after every step when ``observe`` is
+    given.  The step loop itself is the private generator ``_walk_steps``,
+    which yields the kernel's half-lattice buffers after every step, so a
+    caller inside the package can read each state without a write-back.
 
     The amplitudes equal those of the full-lattice product except at the
     flushed parts and beside them, by less than 1e-306 (worst seen 8e-307;
@@ -356,13 +359,39 @@ def evolve_in_place(
             f"coins must have shape (steps, {', '.join(map(str, per_step))}), got {coins.shape}"
         )
     steps_taken = exact_count("steps_taken", steps_taken)
-    width = amps.shape[-1]
-    t_max = width // 2
+    t_max = amps.shape[-1] // 2
     if steps_taken + len(coins) > t_max:
         raise CapacityError(
             f"{len(coins)} more steps would exceed t_max={t_max} "
             f"(state already at {steps_taken} steps)"
         )
+
+    def write_back(halves: dict) -> None:
+        for y in (0, 1):
+            amps[..., y::2] = halves.get(y, 0)
+
+    halves = None
+    for t, halves in _walk_steps(amps, coins, steps_taken):
+        if observe is not None:
+            write_back(halves)
+            observe(t, amps)
+    if observe is None and halves is not None:
+        write_back(halves)
+
+
+def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
+    """Step ``amps`` (read, never written) under ``coins``; yield after every step.
+
+    The step loop of :func:`evolve_in_place`, for arguments it has checked.
+    After the step that reaches count t it yields ``(t, halves)``: ``halves``
+    maps each lattice parity y that holds amplitude to the (..., 2, t_max + 1
+    - y) view of the kernel buffer holding that half lattice, whose index j
+    is lattice column 2j + y.  Parities missing from ``halves`` are zero.
+    The views are the kernel's own buffers, valid until the generator is
+    advanced: read them, do not keep or modify them.
+    """
+    width = amps.shape[-1]
+    t_max = width // 2
     occupied = np.flatnonzero((amps != 0).any(axis=tuple(range(amps.ndim - 1))))
     # an all-zero batch stays zero, and any window computes that
     first, last = (int(occupied[0]), int(occupied[-1])) if occupied.size else (t_max, t_max)
@@ -388,14 +417,12 @@ def evolve_in_place(
     # there would survive.
     for loaded, c in zip(buffers[0], classes):
         loaded[..., 1 + c : t_max + 2] = amps[..., c::2]
-    halves = (amps[..., 0::2], amps[..., 1::2])
-    zeros = np.zeros(amps.shape[:-1] + (size,), np.complex128)
     # (iii): from the step that reads the last lattice column on, its row 1
     # lands in the first column past the right edge, which a later window
     # may read.  Row 0 of column 0 lands in column 1 of an odd-parity buffer,
     # which holds no index, so no step reads it.
     leave_from = width - last
-    pasts = [(target[..., t_max + 2 :], zeros[..., : size - t_max]) for target in buffers]
+    pasts = [target[..., t_max + 2 :] for target in buffers]
 
     # (ii): once the input can reach the full product's last r columns, each
     # step redoes them over the 4 + r lattice columns that end at the last
@@ -431,23 +458,11 @@ def evolve_in_place(
     reads = [[(1 + (c + s + 1) % 2, source, landing)
               for c, source, landing in zip(classes, buffers[1 - s], landings[s])]
              for s in (0, 1)]
-    lands = [{(c + s) % 2: target for c, target in zip(classes, buffers[s])} for s in (0, 1)]
-
-    def shows(s: int, lo: int, hi: int) -> list:
-        """(part of ``amps``, value) pairs writing the state after a step of parity s.
-
-        They cover both parities over indices [lo - 1, hi + 1) of the
-        window [lo, hi): what the step landed, and zeros over what it read.
-        """
-        start = max(lo - 1, 0)
-        pairs = []
-        for y, half in enumerate(halves):
-            shown = half[..., start : hi + 1]
-            n = shown.shape[-1]
-            landed = lands[s].get(y)
-            pairs.append((shown, zeros[..., :n] if landed is None
-                          else landed[..., 1 + y + start : 1 + y + start + n]))
-        return pairs
+    halves = [
+        {(c + s) % 2: target[..., 1 + (c + s) % 2 : t_max + 2]
+         for c, target in zip(classes, buffers[s])}
+        for s in (0, 1)
+    ]
 
     renew = 1
     for k, coin in enumerate(coins, start=1):
@@ -470,11 +485,10 @@ def evolve_in_place(
                     [(source[..., lo + shift : hi + shift], landing[..., lo:hi])
                      for shift, source, landing in reads[s]],
                     buffers[s][..., lo + 1 : hi + 2],
-                    shows(s, lo, hi) if observe is not None else [],
                 )
                 for s in (0, 1)
             ]
-        products, result, shown = views[k % 2]
+        products, result = views[k % 2]
         for source, landing in products:
             np.matmul(coin, source, out=landing)
         if k >= tail_from:
@@ -487,17 +501,11 @@ def evolve_in_place(
         if k == 1:
             buffers[0].fill(0)
         if k >= leave_from:
-            np.copyto(*pasts[k % 2])
+            pasts[k % 2].fill(0)
         if (steps_taken + k) % _FLUSH_PERIOD == 0:
             parts = result.view(np.float64)
             np.copyto(parts, 0.0, where=np.abs(parts) < np.finfo(np.float64).tiny)
-        if observe is not None:
-            for target, value in shown:
-                target[...] = value
-            observe(steps_taken + k, amps)
-    if observe is None and len(coins):
-        for target, value in shows(len(coins) % 2, lo, hi):
-            target[...] = value
+        yield steps_taken + k, halves[k % 2]
 
 
 def evolve(

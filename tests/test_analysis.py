@@ -1,6 +1,7 @@
 """Tests for observables, baselines, and ensemble aggregation."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from coinwalk.core import (
     evolve,
     evolve_ordered,
 )
-from coinwalk.disorder import evolve_disordered, preset_spec, sample_schedule
+from coinwalk.disorder import evolve_disordered, ordered_spec, preset_spec, sample_schedule
 from coinwalk.errors import InvalidParameterError, NormDriftError
 
 HALF_PI = math.pi / 2
@@ -213,6 +214,25 @@ class TestLocalizationLength:
     def test_non_finite_spread_rejected(self, disordered, ordered, named):
         with pytest.raises(InvalidParameterError, match=f"^{named} spread must be finite"):
             localization_length(disordered, ordered)
+
+    def test_arrays_give_the_scalar_ratios_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        disordered = np.append(rng.uniform(0.0, 30.0, 200), 0.0)
+        ordered = rng.uniform(1e-3, 300.0, 201)
+        ratios = localization_length(disordered, ordered)
+        scalars = [localization_length(float(d), float(o)) for d, o in zip(disordered, ordered)]
+        assert ratios.tobytes() == np.array(scalars).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
+    def test_bad_ordered_spread_in_an_array_rejected(self, bad):
+        ordered = np.array([1.0, 2.0, bad, 4.0])
+        message = f"^ordered spread must be finite and > 0, got {bad!r}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            localization_length(np.ones(4), ordered)
+
+    def test_shapes_must_match(self):
+        with pytest.raises(InvalidParameterError, match="one shape"):
+            localization_length(np.ones(3), np.ones(4))
 
     @given(
         sd=st.floats(min_value=1e-6, max_value=1e6),
@@ -450,9 +470,117 @@ class TestRunEnsembles:
             run_ensembles(pairs, SYM, 10, 1)
         assert sampled == []
 
+    @pytest.mark.parametrize("spec", ["theta-high", None], ids=["name", "none"])
+    def test_spec_that_is_not_a_disorder_spec_rejected(self, monkeypatch, spec):
+        sampled = []
+        monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
+        pairs = [(preset_spec("theta-high"), 2), (spec, 3)]
+        message = f"^spec must be a DisorderSpec, got {spec!r}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            run_ensembles(pairs, SYM, 10, 1)
+        assert sampled == []
+
+    def test_initial_that_is_not_initial_state_params_rejected(self, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
+        message = "^initial must be an InitialStateParams, got None$"
+        with pytest.raises(InvalidParameterError, match=message):
+            run_ensemble(preset_spec("theta-high"), None, 10, 2, 1)
+        assert sampled == []
+
+    @pytest.mark.parametrize(
+        "pair", [("theta-high",), ("theta-high", 2, 3), 5], ids=["1-tuple", "3-tuple", "int"]
+    )
+    def test_ensemble_that_is_not_a_pair_rejected(self, monkeypatch, pair):
+        sampled = []
+        monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
+        pairs = [(preset_spec("theta-high"), 2), pair]
+        with pytest.raises(InvalidParameterError, match="must be a \\(spec, realizations\\) pair"):
+            run_ensembles(pairs, SYM, 10, 1)
+        assert sampled == []
+
+    @pytest.mark.parametrize("track", ["no", 1, None], ids=["string", "int", "none"])
+    def test_track_per_step_that_is_not_a_bool_rejected(self, monkeypatch, track):
+        sampled = []
+        monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
+        message = f"^track_per_step must be a bool, got {track!r}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            run_ensembles([(preset_spec("theta-high"), 2)], SYM, 10, 1, track)
+        assert sampled == []
+
     def test_no_ensembles_rejected(self, monkeypatch):
         sampled = []
         monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
         with pytest.raises(InvalidParameterError, match="at least one ensemble"):
             run_ensembles([], SYM, 10, 1)
         assert sampled == []
+
+
+def traced_peak(run) -> int:
+    """Peak bytes traced by ``tracemalloc`` during ``run()``, after one warm-up call."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrackingBlocks:
+    """Per-step tracking reduces a block of states at a time, with the same bits.
+
+    The block holds ``analysis._block_steps`` states, t = 0 .. steps, so a
+    block ends after t = block - 1, 2 * block - 1, ...; a budget of
+    ``block * walks * 2 * (steps + 1) * 16`` bytes forces that block for a
+    chunk of all ``walks`` walks.
+    """
+
+    BLOCK = 4
+
+    def force_block(self, monkeypatch, walks: int, steps: int) -> None:
+        monkeypatch.setattr(analysis, "_CHUNK_BYTES", self.BLOCK * walks * 2 * (steps + 1) * 16)
+        assert analysis._chunk_size(2 * steps + 1) >= walks
+        assert analysis._block_steps(walks, steps) == self.BLOCK
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 13],
+                             ids=["1", "2", "block-1", "block", "block+1", "partial"])
+    def test_block_boundaries(self, monkeypatch, steps):
+        spec = preset_spec("theta-high")
+        self.force_block(monkeypatch, 3, steps)
+        stats = run_ensemble(spec, SYM, steps, 3, master_seed=12, track_per_step=True)
+        assert_same_ensemble(stats, reference_ensemble(spec, steps, 3, 12, True))
+
+    def test_ordered_pair(self, monkeypatch):
+        spec = preset_spec("hadamard-ordered")
+        self.force_block(monkeypatch, 1, 13)
+        stats = run_ensemble(spec, SYM, 13, 5, master_seed=12, track_per_step=True)
+        assert_same_ensemble(stats, reference_ensemble(spec, 13, 5, 12, True))
+
+    def test_chunks_that_split_pairs(self, monkeypatch):
+        steps, width = 24, 49
+        # chunks of 3 of the 8 walks, [H T T] [T F T] [T T], and blocks of 4
+        monkeypatch.setattr(analysis, "_CHUNK_BYTES", 12000)
+        assert analysis._chunk_size(width) == 3
+        assert analysis._block_steps(3, steps) == 4
+        pairs = [(preset_spec(name), count) for name, count in TestRunEnsembles.PAIRS]
+        for stats, (spec, realizations) in zip(run_ensembles(pairs, SYM, steps, 9, True), pairs):
+            assert_same_ensemble(stats, reference_ensemble(spec, steps, realizations, 9, True))
+
+    @pytest.mark.parametrize("scale, block", [(1, 10), (4, 40)], ids=["module", "4x"])
+    def test_tracking_buffers_fit_the_budget(self, monkeypatch, scale, block):
+        # fig4's batch: one theta-high walk and three ordered references to t = 400
+        budget = scale * analysis._CHUNK_BYTES
+        monkeypatch.setattr(analysis, "_CHUNK_BYTES", budget)
+        steps = 400
+        cone_bytes = 4 * 2 * (steps + 1) * 16
+        # the largest even block whose light cones fit the budget
+        assert analysis._block_steps(4, steps) == block
+        assert block * cone_bytes <= budget < (block + 2) * cone_bytes
+        pairs = [(preset_spec("theta-high"), 1)]
+        pairs += [(ordered_spec(theta), 1) for theta in (math.pi / 6, math.pi / 4, math.pi / 3)]
+        untracked = traced_peak(lambda: run_ensembles(pairs, SYM, steps, 1))
+        tracked = traced_peak(lambda: run_ensembles(pairs, SYM, steps, 1, True))
+        # the block's distributions take at most half as much again, and the
+        # per-step variances one row per walk and per pair
+        assert tracked - untracked <= budget * 3 // 2 + 8 * 8 * (steps + 1)

@@ -26,7 +26,7 @@ from coinwalk.core import (
     evolve_ordered,
     exact_int,
 )
-from coinwalk.disorder import preset_spec, sample_schedule, evolve_disordered
+from coinwalk.disorder import PRESET_NAMES, preset_spec, sample_schedule, evolve_disordered
 from coinwalk.errors import CapacityError, InvalidParameterError
 
 from oracle_dense import dense_coin, dense_evolve
@@ -462,6 +462,26 @@ class TestEvolveInPlace:
             with pytest.raises(InvalidParameterError):
                 evolve_in_place(np.zeros((2, 5), complex), coins, steps_taken=taken)
 
+    @pytest.mark.parametrize("origin", [20, 21], ids=["even-origin", "odd-origin"])
+    def test_walk_steps_yield_the_occupied_half_lattice(self, origin):
+        # a read-only batch: the generator must only read its input
+        rng = np.random.default_rng(origin)
+        start = np.zeros((2, 41), dtype=np.complex128)
+        start[:, origin] = symmetric_state(0).amplitudes[:, 0]
+        amps = np.broadcast_to(start, (3, 2, 41))
+        coins = random_unitaries(rng, (20, 3))
+        expected = amps.copy()
+        seen = []
+        for t, halves in core._walk_steps(amps, coins, 0):
+            expected = reference_walks(expected, coins[t - 1 : t])
+            parity = (origin + t) % 2
+            assert list(halves) == [parity]
+            assert halves[parity].shape == (3, 2, 21 - parity)
+            assert same_values(halves[parity], expected[..., parity::2])
+            assert not np.any(expected[..., 1 - parity :: 2])
+            seen.append(t)
+        assert seen == list(range(1, 21))
+
 
 def reference_walks(amps: np.ndarray, coins: np.ndarray) -> np.ndarray:
     """``reference_step`` applied to every walk of a batch, one coin at a time."""
@@ -832,6 +852,37 @@ class TestPinnedOrderedWalk:
             "19f71bf8867be77293546687bff310b19a7d69ac45b1d484f7c22a966fb16af0"
         )
         assert variance(dist).hex() == "0x1.41c83bf05d558p+21"
+
+
+class TestPrefixProperty:
+    """A walk of even length t is the first t steps of a longer walk, bit for bit.
+
+    Schedules extend each other, so a t-step walk's coins are the first t of
+    a longer schedule, and its state equals the longer walk's after t steps
+    cropped to the 2t + 1 sites of its lattice: every amplitude, the sign
+    of every zero included.  Only even lengths hold this: a full-capacity
+    walk of odd length has a width of 3 mod 4, so rule (ii) of
+    ``evolve_in_place`` redoes its last two steps, which may differ by an
+    ulp.  Steps 128 and 256 flush subnormal parts.
+    """
+
+    LONG = 400
+    LENGTHS = (2, 4, 10, 64, 128, 130, 256, 398)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_even_length_walk_is_a_prefix_of_a_longer_one(self, preset, seed):
+        coins = coin_matrices(sample_schedule(preset_spec(preset), self.LONG, seed))
+        prefixes = {}
+
+        def observe(t, a):
+            if t in self.LENGTHS:
+                prefixes[t] = a[:, self.LONG - t : self.LONG + t + 1].copy()
+
+        evolve(symmetric_state(self.LONG), coins, observe=observe)
+        for t in self.LENGTHS:
+            short = evolve(symmetric_state(t), coins[:t])
+            assert same_bits(short.amplitudes, prefixes[t]), t
 
 
 # ---------------------------------------------------------------------------
