@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -56,7 +57,8 @@ class PositionDistribution:
 
     ``p[i]`` is the probability at x = i - h where h = (len(p) - 1) // 2;
     ``t``, an exact integer >= 0, records after how many steps the
-    distribution was taken.
+    distribution was taken.  Complex probabilities are rejected, not cut
+    to their real parts.
     """
 
     t: int
@@ -64,6 +66,8 @@ class PositionDistribution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", exact_count("t", self.t))
+        if np.iscomplexobj(self.p):
+            raise InvalidParameterError("probabilities must be real, got complex values")
         p = np.asarray(self.p, dtype=np.float64)
         if p.ndim != 1 or p.size % 2 == 0:
             raise InvalidParameterError(
@@ -182,15 +186,16 @@ def localization_length(
 ) -> float | np.ndarray:
     """Ratio of the disordered walk's spread to the ordered walk's spread.
 
-    Both arguments are standard deviations in lattice sites, as two numbers
-    or two arrays of one shape; arrays give the elementwise ratios.  Values
-    well below 1 mean the disordered walk stays confined relative to the
-    ordered reference.
+    Both arguments are standard deviations in lattice sites, as two real
+    numbers or two real arrays of one shape; arrays give the elementwise
+    ratios.  Values well below 1 mean the disordered walk stays confined
+    relative to the ordered reference.
 
     Raises
     ------
     InvalidParameterError
-        If the shapes differ, or any spread is not finite, any ordered
+        If a spread is not a real (integer or float, not bool) number or
+        array, the shapes differ, or any spread is not finite, any ordered
         spread is not positive or any disordered one is negative; the
         message names the first such value.
     """
@@ -200,17 +205,18 @@ def localization_length(
         raise InvalidParameterError(
             f"spreads must have one shape, got {disordered.shape} and {ordered.shape}"
         )
-    # written so that NaN fails too
-    bad = ~((0 < ordered) & (ordered < math.inf))
-    if bad.any():
-        raise InvalidParameterError(
-            f"ordered spread must be finite and > 0, got {ordered[bad].flat[0].item()!r}"
-        )
-    bad = ~((0 <= disordered) & (disordered < math.inf))
-    if bad.any():
-        raise InvalidParameterError(
-            f"disordered spread must be finite and >= 0, got {disordered[bad].flat[0].item()!r}"
-        )
+    for name, value, spread, above, bound in (
+        ("ordered", sigma_ordered, ordered, np.greater, "> 0"),
+        ("disordered", sigma_disordered, disordered, np.greater_equal, ">= 0"),
+    ):
+        if spread.dtype.kind not in "iuf":
+            raise InvalidParameterError(f"{name} spread must be an int or float, got {value!r}")
+        # written so that NaN fails too
+        bad = ~(above(spread, 0) & (spread < math.inf))
+        if bad.any():
+            raise InvalidParameterError(
+                f"{name} spread must be finite and {bound}, got {spread[bad].flat[0].item()!r}"
+            )
     ratio = disordered / ordered
     return float(ratio) if ratio.ndim == 0 else ratio
 
@@ -224,13 +230,18 @@ def spreading_exponent(series: list[tuple[float, float]]) -> float:
     Parameters
     ----------
     series : list of (t, variance)
-        At least 3 points with finite t >= 1 and finite variance > 0, at no
-        fewer than 2 distinct t.
+        At least 3 tuples, lists or arrays of two real (not bool) numbers,
+        with finite t >= 1 and finite variance > 0, at no fewer than 2
+        distinct t.
     """
     if len(series) < 3:
         raise InvalidParameterError(f"need at least 3 points, got {len(series)}")
-    t = np.array([point[0] for point in series], dtype=np.float64)
-    v = np.array([point[1] for point in series], dtype=np.float64)
+    for point in series:
+        if not (isinstance(point, (tuple, list, np.ndarray)) and len(point) == 2 and all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in point
+        )):
+            raise InvalidParameterError(f"a point must be a (t, variance) pair, got {point!r}")
+    t, v = (np.array(column, dtype=np.float64) for column in zip(*series))
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
         raise InvalidParameterError("every t and variance must be finite")
     if np.unique(t).size < 2:

@@ -15,7 +15,6 @@ import contextlib
 import math
 import numbers
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,13 +244,7 @@ _WINDOW_QUANTUM = 64
 _FLUSH_PERIOD = 128
 
 
-def evolve_in_place(
-    amplitudes: np.ndarray,
-    coins,
-    *,
-    steps_taken: int = 0,
-    observe: Callable[[int, np.ndarray], None] | None = None,
-) -> None:
+def evolve_in_place(amplitudes: np.ndarray, coins, *, steps_taken: int = 0) -> None:
     """Advance a batch of walks in place, one step per coin, ``coins[0]`` first.
 
     A step mixes the two internal components at every site with the coin,
@@ -298,16 +291,17 @@ def evolve_in_place(
 
     After every step whose count ``steps_taken + k`` is a multiple of
     ``_FLUSH_PERIOD``, each real or imaginary part of the landed window
-    below the smallest normal float64 (about 2.2e-308) is set to +0.0,
-    before ``observe`` sees the state and before the next step reads it.
-    Such subnormal parts fill the exponentially small tails of long walks
-    and make every multiply that touches them many times slower; each
-    squares to exactly 0.  The state goes back into ``amplitudes`` as its
-    two half lattices, the zeros of a parity that holds no amplitude
-    included, once at the end, or after every step when ``observe`` is
-    given.  The step loop itself is the private generator ``_walk_steps``,
-    which yields the kernel's half-lattice buffers after every step, so a
-    caller inside the package can read each state without a write-back.
+    below the smallest normal float64 (about 2.2e-308) is set to +0.0
+    before the next step reads it.  Such subnormal parts fill the
+    exponentially small tails of long walks and make every multiply that
+    touches them many times slower; each squares to exactly 0.  The state
+    goes back into ``amplitudes`` once, at the end, as its two half
+    lattices, the zeros of a parity that holds no amplitude included.  The
+    step loop itself is the private generator ``_walk_steps``, which yields
+    the kernel's half-lattice buffers after every step, so a caller inside
+    the package can read each state without a write-back.  A caller outside
+    it sees every state by calling :func:`evolve` one coin at a time, which
+    gives the amplitudes and the |a|^2 bytes of one continuous walk.
 
     The amplitudes equal those of the full-lattice product except at the
     flushed parts and beside them, by less than 1e-306 (worst seen 8e-307;
@@ -330,18 +324,13 @@ def evolve_in_place(
     steps_taken : int
         Steps the walks have already taken; with ``len(coins)`` it must fit
         in ``t_max``.
-    observe : callable, optional
-        Called after every step as ``observe(steps_taken, amplitudes)``
-        with the step count reached and the ``amplitudes`` array itself,
-        holding the state after that step: read it during the call, do not
-        keep or modify it.
 
     Raises
     ------
     CapacityError
         If the lattice cannot absorb that many further steps.
     InvalidParameterError
-        If ``amplitudes`` is not a complex128 (..., 2, odd) array,
+        If ``amplitudes`` is not a writeable complex128 (..., 2, odd) array,
         ``coins`` does not have the matching (steps, ..., 2, 2) shape, or
         ``steps_taken`` is not a non-negative integer.
     """
@@ -352,6 +341,8 @@ def evolve_in_place(
             f"amplitudes must be a complex128 (..., 2, 2*t_max + 1) array, "
             f"got {amps.dtype} {amps.shape}"
         )
+    if not amps.flags.writeable:
+        raise InvalidParameterError("amplitudes must be a writeable array, got a read-only one")
     coins = np.asarray(coins, dtype=np.complex128)
     per_step = amps.shape[:-2] + (2, 2)
     if coins.shape[1:] != per_step or coins.ndim != len(per_step) + 1:
@@ -365,18 +356,12 @@ def evolve_in_place(
             f"{len(coins)} more steps would exceed t_max={t_max} "
             f"(state already at {steps_taken} steps)"
         )
-
-    def write_back(halves: dict) -> None:
-        for y in (0, 1):
-            amps[..., y::2] = halves.get(y, 0)
-
-    halves = None
+    # the generator reads `amps` only before its first step
+    end = steps_taken + len(coins)
     for t, halves in _walk_steps(amps, coins, steps_taken):
-        if observe is not None:
-            write_back(halves)
-            observe(t, amps)
-    if observe is None and halves is not None:
-        write_back(halves)
+        if t == end:
+            for y in (0, 1):
+                amps[..., y::2] = halves.get(y, 0)
 
 
 def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
@@ -508,11 +493,7 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
         yield steps_taken + k, halves[k % 2]
 
 
-def evolve(
-    state: WalkState,
-    coins,
-    observe: Callable[[int, np.ndarray], None] | None = None,
-) -> WalkState:
+def evolve(state: WalkState, coins) -> WalkState:
     """Apply one walk step per coin matrix, ``coins[0]`` first.
 
     The single-walk call of :func:`evolve_in_place`, on a copy of the
@@ -525,11 +506,6 @@ def evolve(
     coins : array_like
         Shape (steps, 2, 2): unitary coin matrices, e.g. from
         :func:`coin_matrices`.
-    observe : callable, optional
-        Called after every step as ``observe(steps_taken, amplitudes)``.
-        ``amplitudes`` is the (2, 2*t_max + 1) array of the new state,
-        holding the state after that step: read it during the call, do not
-        keep or modify it.
 
     Returns
     -------
@@ -544,7 +520,7 @@ def evolve(
         If ``coins`` is not a (steps, 2, 2) array.
     """
     amps = state.amplitudes.copy()
-    evolve_in_place(amps, coins, steps_taken=state.steps_taken, observe=observe)
+    evolve_in_place(amps, coins, steps_taken=state.steps_taken)
     return WalkState(state.t_max, amps, state.steps_taken + len(coins))
 
 

@@ -40,12 +40,12 @@ from coinwalk.core import (
     build_initial_state,
     check_state,
     coin_matrices,
-    evolve,
     evolve_ordered,
 )
 from coinwalk.disorder import PRESET_NAMES, evolve_disordered, preset_spec, sample_schedule
 
 from oracle_dense import dense_evolve
+from walk_states import walk_states
 
 MASTER_SEED = 20260808
 SYM = InitialStateParams()
@@ -121,16 +121,11 @@ def test_criterion_2_dense_operator_oracle():
     observed = 0
     for preset in PRESET_NAMES:
         schedule = sample_schedule(preset_spec(preset), t_max, MASTER_SEED)
-        state = build_initial_state(SYM, t_max)
-        reference = state.amplitudes.copy()
-
-        def compare(t, amplitudes):
-            nonlocal reference, worst, observed
+        reference = build_initial_state(SYM, t_max).amplitudes
+        for t, amplitudes in walk_states(reference, coin_matrices(schedule)):
             reference = dense_evolve(reference, [schedule[t - 1]])
             worst = max(worst, float(np.max(np.abs(amplitudes - reference))))
             observed += 1
-
-        evolve(state, coin_matrices(schedule), observe=compare)
     assert observed == t_max * len(PRESET_NAMES)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 1.0

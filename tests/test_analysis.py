@@ -130,6 +130,13 @@ class TestDistributionFromState:
         with pytest.raises(InvalidParameterError, match="probabilities must be finite"):
             PositionDistribution(t=1, p=np.array([bad, 0.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "p", [np.array([0.0, 1.0 + 0.0j, 0.0]), [0.0, 1.0 + 1e-9j, 0.0]], ids=["array", "list"]
+    )
+    def test_complex_probabilities_rejected(self, p):
+        with pytest.raises(InvalidParameterError, match="probabilities must be real"):
+            PositionDistribution(t=1, p=p)
+
 
 class TestVariance:
     def test_ordered_walk_matches_growth_law_at_t100(self):
@@ -234,6 +241,22 @@ class TestLocalizationLength:
         with pytest.raises(InvalidParameterError, match="one shape"):
             localization_length(np.ones(3), np.ones(4))
 
+    @pytest.mark.parametrize(
+        "bad", [True, np.True_, 1 + 0j, "2.0", None, np.array([1.0 + 0j, 2.0])],
+        ids=["bool", "numpy-bool", "complex", "string", "none", "complex-array"],
+    )
+    @pytest.mark.parametrize("named", ["disordered", "ordered"])
+    def test_non_real_spread_rejected(self, bad, named):
+        good = np.ones(np.shape(bad)) if isinstance(bad, np.ndarray) else 2.0
+        args = (bad, good) if named == "disordered" else (good, bad)
+        message = f"^{named} spread must be an int or float, got "
+        with pytest.raises(InvalidParameterError, match=message):
+            localization_length(*args)
+
+    def test_integers_accepted(self):
+        assert localization_length(1, np.int64(2)) == 0.5
+        assert localization_length(np.arange(3), np.full(3, 4)).tolist() == [0.0, 0.25, 0.5]
+
     @given(
         sd=st.floats(min_value=1e-6, max_value=1e6),
         so=st.floats(min_value=1e-6, max_value=1e6),
@@ -289,6 +312,24 @@ class TestSpreadingExponent:
         with pytest.raises(InvalidParameterError, match="must be finite"):
             spreading_exponent(series)
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            [(1,), (2,), (3,)],
+            [(1, 1.0), "24", (4, 4.0)],
+            [(1, 1.0), (2, 2.0, 9.0), (4, 4.0)],
+            [(True, 1.0), (2, 2.0), (4, 4.0)],
+            [(1, 1.0), (2, False), (4, 4.0)],
+            [(1, 1.0), ("2", 2.0), (4, 4.0)],
+            [(1, 1.0), 2.0, (4, 4.0)],
+        ],
+        ids=["one-item", "string", "three-items", "bool-t", "bool-variance",
+             "string-t", "number"],
+    )
+    def test_point_that_is_not_a_pair_of_reals_rejected(self, series):
+        with pytest.raises(InvalidParameterError, match=r"must be a \(t, variance\) pair"):
+            spreading_exponent(series)
 
 
 class TestSymmetryDeviation:

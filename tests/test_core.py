@@ -30,6 +30,7 @@ from coinwalk.disorder import PRESET_NAMES, preset_spec, sample_schedule, evolve
 from coinwalk.errors import CapacityError, InvalidParameterError
 
 from oracle_dense import dense_coin, dense_evolve
+from walk_states import walk_states
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
@@ -336,23 +337,41 @@ class TestEvolve:
         assert np.array_equal(state.amplitudes, expected)
         assert (state.t_max, state.steps_taken) == (t_max, taken + steps)
 
-    def test_observe_sees_every_intermediate_state(self):
+    def test_one_coin_at_a_time_sees_every_intermediate_state(self):
         schedule = sample_schedule(preset_spec("theta-high"), 12, master_seed=4)
         coins = coin_matrices(schedule)
         expected = symmetric_state(20).amplitudes
         for coin in coins[:5]:
             expected = reference_step(expected, coin)
-        seen = []
+        state = evolve(symmetric_state(20), coins[:5])
+        for t in range(6, 13):
+            state = evolve(state, coins[t - 1 : t])
+            expected = reference_step(expected, coins[t - 1])
+            assert state.steps_taken == t
+            assert np.array_equal(state.amplitudes, expected)
 
-        def observe(t, amplitudes):
-            nonlocal expected
-            expected = reference_step(expected, coins[5 + len(seen)])
-            assert np.array_equal(amplitudes, expected)
-            seen.append(t)
-
-        final = evolve(evolve(symmetric_state(20), coins[:5]), coins[5:], observe=observe)
-        assert seen == list(range(6, 13))
-        assert np.array_equal(final.amplitudes, expected)
+    @pytest.mark.parametrize("start", ["origin", "random"])
+    @pytest.mark.parametrize("t_max", [300, 301])  # widths 601 and 603: 1 and 3 mod 4
+    def test_one_coin_at_a_time_gives_the_continuous_walks_states(self, t_max, start):
+        # near-swap coins leave subnormal tails behind a walk from the
+        # origin, and 300 steps pass the flushes at steps 128 and 256
+        rng = np.random.default_rng(t_max)
+        if start == "origin":
+            amps = symmetric_state(t_max).amplitudes
+        else:
+            amps = random_amplitudes(rng, (2, 2 * t_max + 1))
+        thetas = rng.uniform(1.55, 1.5707, 300)
+        coins = coin_matrices(np.stack([rng.uniform(0, HALF_PI, 300), thetas,
+                                        rng.uniform(0, HALF_PI, 300)], axis=-1))
+        state = WalkState(t_max, amps)
+        subnormals = 0
+        for t, expected in walk_states(amps, coins):
+            state = evolve(state, coins[t - 1 : t])
+            assert state.steps_taken == t
+            assert same_values(state.amplitudes, expected), t
+            subnormals += subnormal_parts(expected)
+        assert state.steps_taken == 300
+        assert subnormals > 0 or start == "random"
 
     def test_input_state_is_not_mutated(self):
         initial = symmetric_state(6)
@@ -368,11 +387,11 @@ class TestEvolve:
         assert state.steps_taken == 0
 
     def test_capacity_checked_before_any_step(self):
-        calls = []
+        initial = symmetric_state(3)
+        before = initial.amplitudes.copy()
         with pytest.raises(CapacityError):
-            evolve(symmetric_state(3), coin_matrices(np.zeros((4, 3))),
-                   observe=lambda t, a: calls.append(t))
-        assert calls == []
+            evolve(initial, coin_matrices(np.zeros((4, 3))))
+        assert same_bits(initial.amplitudes, before)
 
     def test_coin_shape_rejected(self):
         for bad in (np.eye(2), np.zeros((3, 2, 3)), np.zeros((2, 2, 2, 1))):
@@ -410,24 +429,21 @@ class TestEvolveInPlace:
             single = evolve(WalkState(t_max, amps[i], taken), coins[(slice(None),) + i])
             assert same_bits(batched[i], single.amplitudes)
 
-    def test_observe_sees_every_live_batch_buffer(self):
+    def test_every_state_of_every_walk_in_a_batch(self):
         rng = np.random.default_rng(9)
         t_max, steps = 12, 9
         start = random_amplitudes(rng, (4, 2, 2 * t_max + 1))
         coins = random_unitaries(rng, (steps, 4))
         expected = start.copy()
-        amps = start.copy()
         seen = []
-
-        def observe(t, a):
-            assert a is amps
+        for t, a in walk_states(start, coins, steps_taken=2):
             for i in range(4):
                 expected[i] = reference_step(expected[i], coins[len(seen), i])
             assert same_bits(a, expected)
             seen.append(t)
-
-        evolve_in_place(amps, coins, steps_taken=2, observe=observe)
         assert seen == list(range(3, 3 + steps))
+        amps = start.copy()
+        evolve_in_place(amps, coins, steps_taken=2)
         assert same_bits(amps, expected)
 
     @pytest.mark.parametrize(
@@ -444,13 +460,24 @@ class TestEvolveInPlace:
     def test_rejected_before_any_step(self, coin_shape, steps_taken):
         amps = random_amplitudes(np.random.default_rng(0), (3, 2, 11))
         before = amps.copy()
-        calls = []
         error = CapacityError if coin_shape[1:] == (3, 2, 2) else InvalidParameterError
         with pytest.raises(error):
-            evolve_in_place(amps, np.ones(coin_shape), steps_taken=steps_taken,
-                            observe=lambda t, a: calls.append(t))
-        assert calls == []
+            evolve_in_place(amps, np.ones(coin_shape), steps_taken=steps_taken)
         assert same_bits(amps, before)
+
+    @pytest.mark.parametrize("make", ["broadcast", "write-protected"])
+    def test_read_only_amplitudes_rejected_before_any_step(self, monkeypatch, make):
+        monkeypatch.setattr(core, "_walk_steps", lambda *args: pytest.fail("a step ran"))
+        start = random_amplitudes(np.random.default_rng(2), (2, 11))
+        if make == "broadcast":
+            amps = np.broadcast_to(start, (3, 2, 11))
+        else:
+            amps = np.stack([start] * 3)
+            amps.setflags(write=False)
+        with pytest.raises(InvalidParameterError, match="writeable") as raised:
+            evolve_in_place(amps, random_unitaries(np.random.default_rng(3), (5, 3)))
+        assert type(raised.value) is InvalidParameterError
+        assert all(same_bits(walk, start) for walk in amps)
 
     def test_bad_amplitudes_or_steps_taken_rejected(self):
         coins = np.empty((0, 2, 2))
@@ -528,66 +555,46 @@ class TestLightConeCrop:
         start[:, edge] = rng.normal(size=2) + 1j * rng.normal(size=2)
         coins = random_unitaries(rng, (t_max,))
         seen = []
-
-        def observe(t, a):
+        for t, a in walk_states(start, coins):
             assert same_values(a, reference_walks(start, coins[:t]))
             seen.append(t)
-
-        amps = start.copy()
-        evolve_in_place(amps, coins, observe=observe)
         assert seen == list(range(1, t_max + 1))
+        amps = start.copy()
+        evolve_in_place(amps, coins)
         assert same_values(amps, reference_walks(start, coins))
 
     def test_all_zero_amplitudes_stay_zero(self):
         amps = np.zeros((3, 2, 151), dtype=np.complex128)
-        seen = []
-        evolve_in_place(amps, random_unitaries(np.random.default_rng(1), (75, 3)),
-                        observe=lambda t, a: seen.append((t, bool(np.any(a)))))
+        coins = random_unitaries(np.random.default_rng(1), (75, 3))
+        seen = [(t, bool(np.any(a))) for t, a in walk_states(amps, coins)]
         assert seen == [(t, False) for t in range(1, 76)]
+        evolve_in_place(amps, coins)
         assert not np.any(amps)
 
-    def test_observe_gets_the_callers_array_holding_the_current_state(self):
+    def test_every_state_of_a_narrow_band_after_earlier_steps(self):
         rng = np.random.default_rng(3)
         t_max, steps = 150, 40
         amps = np.zeros((2, 2, 2 * t_max + 1), dtype=np.complex128)
         amps[..., t_max - 3 : t_max + 4] = random_amplitudes(rng, (2, 2, 7))
         coins = random_unitaries(rng, (steps, 2))
-        expected = amps.copy()
-        seen = []
-
-        def observe(t, a):
-            nonlocal expected
-            assert a is amps
-            expected = reference_walks(expected, coins[len(seen) : len(seen) + 1])
-            assert same_values(a, expected)
-            seen.append(t)
-
-        evolve_in_place(amps, coins, steps_taken=5, observe=observe)
-        assert seen == list(range(6, 6 + steps))
-        assert same_values(amps, expected)
+        check_every_step(amps, coins, steps_taken=5)
 
 
 def check_every_step(start: np.ndarray, coins: np.ndarray, steps_taken: int = 0) -> None:
-    """Evolve ``start`` and compare it with a ``reference_walks`` loop after every step.
+    """Compare every state of a walk from ``start`` with a ``reference_walks`` loop.
 
-    The final state is also checked for a run without ``observe``.
+    The final state of ``evolve_in_place`` is checked too.
     """
     expected = start.copy()
     seen = []
-
-    def observe(t, a):
-        nonlocal expected
+    for t, a in walk_states(start, coins, steps_taken):
         expected = reference_walks(expected, coins[len(seen) : len(seen) + 1])
         assert same_values(a, expected), f"step {t}"
         seen.append(t)
-
-    amps = start.copy()
-    evolve_in_place(amps, coins, steps_taken=steps_taken, observe=observe)
     assert seen == list(range(steps_taken + 1, steps_taken + len(coins) + 1))
+    amps = start.copy()
+    evolve_in_place(amps, coins, steps_taken=steps_taken)
     assert same_values(amps, expected)
-    unobserved = start.copy()
-    evolve_in_place(unobserved, coins, steps_taken=steps_taken)
-    assert same_values(unobserved, expected)
 
 
 #: Window quanta, in sublattice columns, that the sublattice cases run with.
@@ -749,18 +756,15 @@ class TestSubnormalFlush:
     def check_against_reference(self, start: np.ndarray, coins: np.ndarray) -> None:
         expected = start.copy()
         flushed = []  # subnormal parts of the reference at each flush step
-
-        def observe(t, a):
-            nonlocal expected
+        for t, a in walk_states(start, coins):
             expected = reference_walks(expected, coins[t - 1 : t])
             assert squared_bytes(a) == squared_bytes(expected)
             assert np.max(np.abs(a - expected)) <= 1e-300
             if t % core._FLUSH_PERIOD == 0:
                 assert subnormal_parts(a) == 0
                 flushed.append(subnormal_parts(expected))
-
         amps = start.copy()
-        evolve_in_place(amps, coins, observe=observe)
+        evolve_in_place(amps, coins)
         assert len(flushed) == self.STEPS // core._FLUSH_PERIOD
         assert max(flushed) > 0, "the reference never held a subnormal part to flush"
         assert squared_bytes(amps) == squared_bytes(expected)
@@ -873,13 +877,11 @@ class TestPrefixProperty:
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_even_length_walk_is_a_prefix_of_a_longer_one(self, preset, seed):
         coins = coin_matrices(sample_schedule(preset_spec(preset), self.LONG, seed))
-        prefixes = {}
-
-        def observe(t, a):
-            if t in self.LENGTHS:
-                prefixes[t] = a[:, self.LONG - t : self.LONG + t + 1].copy()
-
-        evolve(symmetric_state(self.LONG), coins, observe=observe)
+        prefixes = {
+            t: a[:, self.LONG - t : self.LONG + t + 1]
+            for t, a in walk_states(symmetric_state(self.LONG).amplitudes, coins)
+            if t in self.LENGTHS
+        }
         for t in self.LENGTHS:
             short = evolve(symmetric_state(t), coins[:t])
             assert same_bits(short.amplitudes, prefixes[t]), t
@@ -898,12 +900,9 @@ class TestInvariants:
     def test_light_cone_and_parity_are_exact(self):
         schedule = sample_schedule(preset_spec("full-range"), 60, master_seed=5)
         seen = []
-
-        def check(t, amplitudes):
-            check_state(WalkState(60, amplitudes.copy(), t))
+        for t, amplitudes in walk_states(symmetric_state(60).amplitudes, coin_matrices(schedule)):
+            check_state(WalkState(60, amplitudes, t))
             seen.append(t)
-
-        evolve(symmetric_state(60), coin_matrices(schedule), observe=check)
         assert seen == list(range(1, 61))
 
     @settings(max_examples=30, deadline=None)
