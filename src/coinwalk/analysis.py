@@ -24,6 +24,7 @@ from coinwalk.core import (
     _walk_steps,
     exact_count,
     exact_int,
+    real_array,
 )
 from coinwalk.disorder import ORDERED, DisorderSpec, sample_schedule
 from coinwalk.errors import InvalidParameterError, NormDriftError
@@ -57,8 +58,9 @@ class PositionDistribution:
 
     ``p[i]`` is the probability at x = i - h where h = (len(p) - 1) // 2;
     ``t``, an exact integer >= 0, records after how many steps the
-    distribution was taken.  Complex probabilities are rejected, not cut
-    to their real parts.
+    distribution was taken.  ``p`` must be of an integer or float dtype:
+    complex probabilities are rejected, not cut to their real parts, and
+    bools and strings are not read as numbers.
     """
 
     t: int
@@ -66,9 +68,7 @@ class PositionDistribution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", exact_count("t", self.t))
-        if np.iscomplexobj(self.p):
-            raise InvalidParameterError("probabilities must be real, got complex values")
-        p = np.asarray(self.p, dtype=np.float64)
+        p = real_array("probabilities", self.p)
         if p.ndim != 1 or p.size % 2 == 0:
             raise InvalidParameterError(
                 f"p must be a 1-D array of odd length, got shape {p.shape}"

@@ -27,7 +27,6 @@ __all__ = [
     "WalkState",
     "coin_matrices",
     "build_initial_state",
-    "evolve_in_place",
     "evolve",
     "evolve_ordered",
     "check_state",
@@ -80,6 +79,26 @@ def exact_count(name: str, value) -> int:
     if out < 0:
         raise InvalidParameterError(f"{name} must be >= 0, got {out}")
     return out
+
+
+def real_array(name: str, value) -> np.ndarray:
+    """Return ``value`` as a float64 array if its dtype is integer or float, else raise.
+
+    Bools, strings, complex numbers and objects are rejected rather than
+    converted (``np.asarray([True], float)`` would silently give 1.0,
+    ``["1"]`` 1.0).
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``value`` does not become an integer or float numpy array.
+    """
+    out = np.asarray(value)
+    if out.dtype.kind not in "iuf":
+        raise InvalidParameterError(
+            f"{name} must be real integers or floats, got dtype {out.dtype}"
+        )
+    return out.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -176,7 +195,7 @@ def coin_matrices(params) -> np.ndarray:
     Parameters
     ----------
     params : array_like
-        Shape (steps, 3), finite angles in radians.
+        Shape (steps, 3), finite integer or float angles in radians.
 
     Returns
     -------
@@ -186,9 +205,10 @@ def coin_matrices(params) -> np.ndarray:
     Raises
     ------
     InvalidParameterError
-        If ``params`` is not (steps, 3) or holds a non-finite angle.
+        If ``params`` is not (steps, 3), is not of an integer or float
+        dtype, or holds a non-finite angle.
     """
-    angles = np.asarray(params, dtype=np.float64)
+    angles = real_array("coin angles", params)
     if angles.ndim != 2 or angles.shape[1] != 3:
         raise InvalidParameterError(f"params must have shape (steps, 3), got {angles.shape}")
     if not np.all(np.isfinite(angles)):
@@ -232,46 +252,48 @@ def build_initial_state(params: InitialStateParams, t_max: int) -> WalkState:
 #: zgemm computes a product's columns in blocks of 4, and a column inside a
 #: whole block gets the same bits wherever the block starts, so a window
 #: that starts on a multiple of 4 and is whole blocks long gives each column
-#: the bits of the full-lattice product (see :func:`evolve_in_place`).  32
+#: the bits of the full-lattice product (see :func:`_walk_steps`).  32
 #: and 64 timed the same on the 12,001-site walks and on 200-step ensembles
 #: of 401 sites.
 _WINDOW_QUANTUM = 64
 
 #: Steps between flushes of subnormal amplitude parts to +0.0 (see
-#: :func:`evolve_in_place`).  Periods of 32 to 128 timed the same on the
+#: :func:`_walk_steps`).  Periods of 32 to 128 timed the same on the
 #: 12,001-site Hadamard walk (16 and 256 were slower); 128 flushes a 200-step
 #: ensemble once instead of three times, which measured about 2 % faster.
 _FLUSH_PERIOD = 128
 
 
-def evolve_in_place(amplitudes: np.ndarray, coins, *, steps_taken: int = 0) -> None:
-    """Advance a batch of walks in place, one step per coin, ``coins[0]`` first.
+def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
+    """Step a batch of walks from ``amps``, one step per coin, ``coins[0]`` first.
 
     A step mixes the two internal components at every site with the coin,
     then moves the whole post-coin |0> row from x to x-1 and the |1> row
     from x to x+1; amplitude shifted past the lattice edge is dropped and
-    the vacated edge cell is zeroed.  A walk started inside the light cone
-    never reaches the edge, because the lattice must hold every requested
-    step.  Walks in a batch are independent: walk ``i`` uses ``coins[:, i]``.
+    the vacated edge cell is zeroed.  Walks in a batch are independent:
+    walk ``i`` uses ``coins[:, i]``.  ``amps`` is read before the first step
+    and never written.
 
-    This is the package's only step loop.  A step moves every amplitude
-    from a column of one parity to columns of the other, so the even and
-    the odd columns of the input are two walks that never meet.  Each one
-    that holds amplitude (a "class") is stepped on its own, on half the
-    lattice, and a class that holds none costs nothing: a walk from one
-    site multiplies half the columns.  A class lives in two zero-padded
-    buffers, one per parity, which hold sublattice index j (lattice column
-    2j + parity) in buffer column j + 1 + parity.  A product over indices
-    [lo, hi) of either parity is written through a view of the other
-    buffer whose row 1 starts one column later than row 0, so it lands
-    already shifted: even to odd moves row 0 from j to j - 1 and keeps row
-    1 at j, odd to even keeps row 0 at j and moves row 1 to j + 1.  The
-    occupied columns [first, last] of the input are found once, and step k
-    multiplies the indices of columns [first - k + 1, last + k - 1] only,
-    widened outward to whole quanta of ``_WINDOW_QUANTUM`` indices; outside
-    them every amplitude is exactly zero.  Three rules keep the bits of the
-    full-lattice zgemm (checked with numpy 2.4.6 and OpenBLAS 0.3.31; the
-    kernel tests pin (i) and (ii)):
+    This is the package's only step loop.  Its callers, :func:`evolve` and
+    ``analysis.run_ensembles``, check its arguments: the lattice must hold
+    every requested step, so a walk started inside the light cone never
+    reaches the edge.  A step moves every amplitude from a column of one
+    parity to columns of the other, so the even and the odd columns of the
+    input are two walks that never meet.  Each one that holds amplitude (a
+    "class") is stepped on its own, on half the lattice, and a class that
+    holds none costs nothing: a walk from one site multiplies half the
+    columns.  A class lives in two zero-padded buffers, one per parity,
+    which hold sublattice index j (lattice column 2j + parity) in buffer
+    column j + 1 + parity.  A product over indices [lo, hi) of either parity
+    is written through a view of the other buffer whose row 1 starts one
+    column later than row 0, so it lands already shifted: even to odd moves
+    row 0 from j to j - 1 and keeps row 1 at j, odd to even keeps row 0 at j
+    and moves row 1 to j + 1.  The occupied columns [first, last] of the
+    input are found once, and step k multiplies the indices of columns
+    [first - k + 1, last + k - 1] only, widened outward to whole quanta of
+    ``_WINDOW_QUANTUM`` indices; outside them every amplitude is exactly
+    zero.  Three rules keep the bits of the full-lattice zgemm (checked with
+    numpy 2.4.6 and OpenBLAS 0.3.31; the kernel tests pin (i) and (ii)):
 
     (i) a column inside whole blocks of 4 gets the bits the full product
         gives it wherever the block starts, so every window starts on a
@@ -294,14 +316,7 @@ def evolve_in_place(amplitudes: np.ndarray, coins, *, steps_taken: int = 0) -> N
     below the smallest normal float64 (about 2.2e-308) is set to +0.0
     before the next step reads it.  Such subnormal parts fill the
     exponentially small tails of long walks and make every multiply that
-    touches them many times slower; each squares to exactly 0.  The state
-    goes back into ``amplitudes`` once, at the end, as its two half
-    lattices, the zeros of a parity that holds no amplitude included.  The
-    step loop itself is the private generator ``_walk_steps``, which yields
-    the kernel's half-lattice buffers after every step, so a caller inside
-    the package can read each state without a write-back.  A caller outside
-    it sees every state by calling :func:`evolve` one coin at a time, which
-    gives the amplitudes and the |a|^2 bytes of one continuous walk.
+    touches them many times slower; each squares to exactly 0.
 
     The amplitudes equal those of the full-lattice product except at the
     flushed parts and beside them, by less than 1e-306 (worst seen 8e-307;
@@ -314,66 +329,26 @@ def evolve_in_place(amplitudes: np.ndarray, coins, *, steps_taken: int = 0) -> N
 
     Parameters
     ----------
-    amplitudes : numpy.ndarray
-        Shape (..., 2, 2*t_max + 1), complex128; overwritten with the
-        evolved amplitudes.  The leading axes index independent walks.
-    coins : array_like
-        Shape (steps, ..., 2, 2), the leading batch axes matching those of
-        ``amplitudes``: one unitary coin per step and walk, e.g. from
-        :func:`coin_matrices`.
+    amps : numpy.ndarray
+        Shape (..., 2, 2*t_max + 1), complex128.  The leading axes index
+        independent walks.
+    coins : numpy.ndarray
+        Shape (steps, ..., 2, 2), complex128, the leading batch axes
+        matching those of ``amps``: one unitary coin per step and walk.
     steps_taken : int
-        Steps the walks have already taken; with ``len(coins)`` it must fit
-        in ``t_max``.
+        Steps the walks have already taken; with ``len(coins)`` it fits in
+        ``t_max``.
 
-    Raises
+    Yields
     ------
-    CapacityError
-        If the lattice cannot absorb that many further steps.
-    InvalidParameterError
-        If ``amplitudes`` is not a writeable complex128 (..., 2, odd) array,
-        ``coins`` does not have the matching (steps, ..., 2, 2) shape, or
-        ``steps_taken`` is not a non-negative integer.
-    """
-    amps = amplitudes
-    walk_shaped = amps.ndim >= 2 and amps.shape[-2] == 2 and amps.shape[-1] % 2 == 1
-    if amps.dtype != np.complex128 or not walk_shaped:
-        raise InvalidParameterError(
-            f"amplitudes must be a complex128 (..., 2, 2*t_max + 1) array, "
-            f"got {amps.dtype} {amps.shape}"
-        )
-    if not amps.flags.writeable:
-        raise InvalidParameterError("amplitudes must be a writeable array, got a read-only one")
-    coins = np.asarray(coins, dtype=np.complex128)
-    per_step = amps.shape[:-2] + (2, 2)
-    if coins.shape[1:] != per_step or coins.ndim != len(per_step) + 1:
-        raise InvalidParameterError(
-            f"coins must have shape (steps, {', '.join(map(str, per_step))}), got {coins.shape}"
-        )
-    steps_taken = exact_count("steps_taken", steps_taken)
-    t_max = amps.shape[-1] // 2
-    if steps_taken + len(coins) > t_max:
-        raise CapacityError(
-            f"{len(coins)} more steps would exceed t_max={t_max} "
-            f"(state already at {steps_taken} steps)"
-        )
-    # the generator reads `amps` only before its first step
-    end = steps_taken + len(coins)
-    for t, halves in _walk_steps(amps, coins, steps_taken):
-        if t == end:
-            for y in (0, 1):
-                amps[..., y::2] = halves.get(y, 0)
-
-
-def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
-    """Step ``amps`` (read, never written) under ``coins``; yield after every step.
-
-    The step loop of :func:`evolve_in_place`, for arguments it has checked.
-    After the step that reaches count t it yields ``(t, halves)``: ``halves``
-    maps each lattice parity y that holds amplitude to the (..., 2, t_max + 1
-    - y) view of the kernel buffer holding that half lattice, whose index j
-    is lattice column 2j + y.  Parities missing from ``halves`` are zero.
-    The views are the kernel's own buffers, valid until the generator is
-    advanced: read them, do not keep or modify them.
+    tuple
+        ``(t, halves)`` after the step that reaches count t.  ``halves``
+        maps each lattice parity y that holds amplitude to the (..., 2,
+        t_max + 1 - y) view of the kernel buffer holding that half lattice,
+        whose index j is lattice column 2j + y.  Parities missing from
+        ``halves`` are zero.  The views are the kernel's own buffers, valid
+        until the generator is advanced: read them, do not keep or modify
+        them.
     """
     width = amps.shape[-1]
     t_max = width // 2
@@ -496,13 +471,17 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
 def evolve(state: WalkState, coins) -> WalkState:
     """Apply one walk step per coin matrix, ``coins[0]`` first.
 
-    The single-walk call of :func:`evolve_in_place`, on a copy of the
-    state's amplitudes.
+    Runs the package's step loop, :func:`_walk_steps`, on a copy of the
+    state.  Every argument is checked before the first step.  Called one
+    coin at a time it gives every intermediate state, with the amplitudes
+    and the |a|^2 bytes of one continuous walk.  With no coins it returns a
+    copy.
 
     Parameters
     ----------
     state : WalkState
-        State to advance; not modified.
+        State to advance; not modified.  Its fields are checked again, as
+        a new ``WalkState``'s are, since they may have been reassigned.
     coins : array_like
         Shape (steps, 2, 2): unitary coin matrices, e.g. from
         :func:`coin_matrices`.
@@ -517,11 +496,26 @@ def evolve(state: WalkState, coins) -> WalkState:
     CapacityError
         If the lattice cannot absorb that many further steps.
     InvalidParameterError
-        If ``coins`` is not a (steps, 2, 2) array.
+        If ``coins`` is not a (steps, 2, 2) array, or a field of ``state``
+        fails the checks of a new ``WalkState``.
     """
-    amps = state.amplitudes.copy()
-    evolve_in_place(amps, coins, steps_taken=state.steps_taken)
-    return WalkState(state.t_max, amps, state.steps_taken + len(coins))
+    out = state.copy()
+    coins = np.asarray(coins, dtype=np.complex128)
+    if coins.shape[1:] != (2, 2):
+        raise InvalidParameterError(f"coins must have shape (steps, 2, 2), got {coins.shape}")
+    end = out.steps_taken + len(coins)
+    if end > out.t_max:
+        raise CapacityError(
+            f"{len(coins)} more steps would exceed t_max={out.t_max} "
+            f"(state already at {out.steps_taken} steps)"
+        )
+    # the generator reads the amplitudes only before its first step
+    for t, halves in _walk_steps(out.amplitudes, coins, out.steps_taken):
+        if t == end:
+            for y in (0, 1):
+                out.amplitudes[..., y::2] = halves.get(y, 0)
+    out.steps_taken = end
+    return out
 
 
 def evolve_ordered(initial: WalkState, coin: CoinParams, steps: int) -> WalkState:

@@ -79,14 +79,21 @@ class ParameterRange:
 class DisorderSpec:
     """Sampling ranges for the three coin angles.
 
-    ``mode`` is derived from the ranges: ``"ordered"`` when all three are
-    degenerate (every step uses the one triple they pin down), otherwise
-    ``"per-step-random"`` (fresh independent draw per step).
+    Each field must be a ``ParameterRange``.  ``mode`` is derived from the
+    ranges: ``"ordered"`` when all three are degenerate (every step uses the
+    one triple they pin down), otherwise ``"per-step-random"`` (fresh
+    independent draw per step).
     """
 
     xi_range: ParameterRange
     theta_range: ParameterRange
     zeta_range: ParameterRange
+
+    def __post_init__(self) -> None:
+        for name in ("xi_range", "theta_range", "zeta_range"):
+            value = getattr(self, name)
+            if not isinstance(value, ParameterRange):
+                raise InvalidParameterError(f"{name} must be a ParameterRange, got {value!r}")
 
     @property
     def mode(self) -> str:
@@ -179,9 +186,12 @@ def sample_schedule(
     Raises
     ------
     InvalidParameterError
-        If ``steps``, ``master_seed`` or ``realization_index`` is not an
-        integer, or ``steps`` or ``realization_index`` is negative.
+        If ``spec`` is not a DisorderSpec, ``steps``, ``master_seed`` or
+        ``realization_index`` is not an integer, or ``steps`` or
+        ``realization_index`` is negative.
     """
+    if not isinstance(spec, DisorderSpec):
+        raise InvalidParameterError(f"spec must be a DisorderSpec, got {spec!r}")
     steps = exact_count("steps", steps)
     rng = np.random.default_rng(derive_stream_seed(master_seed, realization_index))
     u = rng.random((steps, 3))

@@ -137,6 +137,16 @@ class TestDistributionFromState:
         with pytest.raises(InvalidParameterError, match="probabilities must be real"):
             PositionDistribution(t=1, p=p)
 
+    @pytest.mark.parametrize(
+        "p",
+        [[True], np.array([False, True, False]), ["1"], np.array(["0", "1", "0"]), [None]],
+        ids=["bool", "numpy-bool", "string", "numpy-string", "object"],
+    )
+    def test_probabilities_that_are_not_integers_or_floats_rejected(self, p):
+        message = "^probabilities must be real integers or floats"
+        with pytest.raises(InvalidParameterError, match=message):
+            PositionDistribution(t=0, p=p)
+
 
 class TestVariance:
     def test_ordered_walk_matches_growth_law_at_t100(self):

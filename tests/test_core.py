@@ -22,7 +22,6 @@ from coinwalk.core import (
     check_state,
     coin_matrices,
     evolve,
-    evolve_in_place,
     evolve_ordered,
     exact_int,
 )
@@ -223,6 +222,23 @@ class TestCoinMatrix:
             with pytest.raises(InvalidParameterError):
                 coin_matrices([[0.0, value, 0.0]])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[True, False, True]],
+            np.ones((2, 3), dtype=bool),
+            [["0", "0.785", "0"]],
+            [[0.0, 0.5 + 0.1j, 0.0]],
+            np.zeros((2, 3), dtype=np.complex128),
+            [[0.0, 0.5, None]],
+        ],
+        ids=["bool", "numpy-bool", "string", "complex", "complex-array", "object"],
+    )
+    def test_angles_that_are_not_integers_or_floats_rejected(self, bad):
+        message = "^coin angles must be real integers or floats"
+        with pytest.raises(InvalidParameterError, match=message):
+            coin_matrices(bad)
+
     def test_empty_schedule_gives_no_coins(self):
         assert coin_matrices(np.empty((0, 3))).shape == (0, 2, 2)
 
@@ -398,6 +414,23 @@ class TestEvolve:
             with pytest.raises(InvalidParameterError):
                 evolve(symmetric_state(3), bad)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("amplitudes", np.zeros((2, 5), dtype=np.complex128), "amplitudes must have shape"),
+            ("steps_taken", 4, "steps_taken must lie in"),
+            ("steps_taken", 1.5, "steps_taken must be an integer"),
+            ("t_max", -1, "t_max must be >= 0"),
+        ],
+        ids=["narrower-amplitudes", "steps-beyond-t_max", "float-steps", "negative-t_max"],
+    )
+    def test_reassigned_state_rejected_before_any_step(self, monkeypatch, field, value, message):
+        monkeypatch.setattr(core, "_walk_steps", lambda *args: pytest.fail("a step ran"))
+        state = symmetric_state(3)
+        setattr(state, field, value)
+        with pytest.raises(InvalidParameterError, match=message):
+            evolve(state, coin_matrices(np.zeros((2, 3))))
+
 
 def random_amplitudes(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Amplitude on every site, the two edge columns included."""
@@ -414,6 +447,8 @@ def random_unitaries(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nda
 
 
 class TestEvolveInPlace:
+    """Batches of walks through the step loop, against ``evolve`` on each walk."""
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("batch", [(1,), (5,), (2, 3)])
     def test_batch_equals_separate_evolves_bit_for_bit(self, seed, batch):
@@ -423,11 +458,10 @@ class TestEvolveInPlace:
         steps = int(rng.integers(0, t_max - taken + 1))
         amps = random_amplitudes(rng, batch + (2, 2 * t_max + 1))
         coins = random_unitaries(rng, (steps,) + batch)
-        batched = amps.copy()
-        evolve_in_place(batched, coins, steps_taken=taken)
-        for i in np.ndindex(batch):
-            single = evolve(WalkState(t_max, amps[i], taken), coins[(slice(None),) + i])
-            assert same_bits(batched[i], single.amplitudes)
+        batched = amps
+        for _, batched in walk_states(amps, coins, steps_taken=taken):
+            pass
+        assert same_bits(batched, evolved_walks(amps, coins, taken))
 
     def test_every_state_of_every_walk_in_a_batch(self):
         rng = np.random.default_rng(9)
@@ -442,52 +476,7 @@ class TestEvolveInPlace:
             assert same_bits(a, expected)
             seen.append(t)
         assert seen == list(range(3, 3 + steps))
-        amps = start.copy()
-        evolve_in_place(amps, coins, steps_taken=2)
-        assert same_bits(amps, expected)
-
-    @pytest.mark.parametrize(
-        "coin_shape, steps_taken",
-        [
-            ((3, 4, 2, 2), 0),  # batch of 4 coins for 3 walks
-            ((3, 2, 2), 0),  # unbatched coins for a batch
-            ((3, 1, 2, 2), 0),  # no broadcasting over the batch
-            ((3, 3, 2, 3), 0),
-            ((3, 3, 2, 2), 3),  # 3 + 3 steps on a lattice of t_max = 5
-            ((6, 3, 2, 2), 0),
-        ],
-    )
-    def test_rejected_before_any_step(self, coin_shape, steps_taken):
-        amps = random_amplitudes(np.random.default_rng(0), (3, 2, 11))
-        before = amps.copy()
-        error = CapacityError if coin_shape[1:] == (3, 2, 2) else InvalidParameterError
-        with pytest.raises(error):
-            evolve_in_place(amps, np.ones(coin_shape), steps_taken=steps_taken)
-        assert same_bits(amps, before)
-
-    @pytest.mark.parametrize("make", ["broadcast", "write-protected"])
-    def test_read_only_amplitudes_rejected_before_any_step(self, monkeypatch, make):
-        monkeypatch.setattr(core, "_walk_steps", lambda *args: pytest.fail("a step ran"))
-        start = random_amplitudes(np.random.default_rng(2), (2, 11))
-        if make == "broadcast":
-            amps = np.broadcast_to(start, (3, 2, 11))
-        else:
-            amps = np.stack([start] * 3)
-            amps.setflags(write=False)
-        with pytest.raises(InvalidParameterError, match="writeable") as raised:
-            evolve_in_place(amps, random_unitaries(np.random.default_rng(3), (5, 3)))
-        assert type(raised.value) is InvalidParameterError
-        assert all(same_bits(walk, start) for walk in amps)
-
-    def test_bad_amplitudes_or_steps_taken_rejected(self):
-        coins = np.empty((0, 2, 2))
-        for bad in (np.zeros((2, 5)), np.zeros((2, 4), complex), np.zeros(5, complex),
-                    np.zeros((3, 5), complex)):
-            with pytest.raises(InvalidParameterError):
-                evolve_in_place(bad, coins)
-        for taken in (-1, 1.5, True):
-            with pytest.raises(InvalidParameterError):
-                evolve_in_place(np.zeros((2, 5), complex), coins, steps_taken=taken)
+        assert same_bits(evolved_walks(start, coins, 2), expected)
 
     @pytest.mark.parametrize("origin", [20, 21], ids=["even-origin", "odd-origin"])
     def test_walk_steps_yield_the_occupied_half_lattice(self, origin):
@@ -519,6 +508,16 @@ def reference_walks(amps: np.ndarray, coins: np.ndarray) -> np.ndarray:
     return out
 
 
+def evolved_walks(start: np.ndarray, coins: np.ndarray, steps_taken: int = 0) -> np.ndarray:
+    """``evolve``'s final state of each walk of a batch, stacked in the batch's shape."""
+    t_max = start.shape[-1] // 2
+    out = np.empty_like(start)
+    for i in np.ndindex(start.shape[:-2]):
+        walk = WalkState(t_max, start[i], steps_taken)
+        out[i] = evolve(walk, coins[(slice(None),) + i]).amplitudes
+    return out
+
+
 def same_values(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal amplitudes and equal bytes of |a|^2; only the sign of a zero may differ."""
     return np.array_equal(a, b) and same_bits(np.abs(a) ** 2, np.abs(b) ** 2)
@@ -539,10 +538,7 @@ class TestLightConeCrop:
         rng = np.random.default_rng(t_max)
         amps = np.zeros(batch + (2, 2 * t_max + 1), dtype=np.complex128)
         amps[..., t_max] = rng.normal(size=batch + (2,)) + 1j * rng.normal(size=batch + (2,))
-        coins = random_unitaries(rng, (t_max,) + batch)
-        expected = reference_walks(amps, coins)
-        evolve_in_place(amps, coins)
-        assert same_values(amps, expected)
+        check_every_step(amps, random_unitaries(rng, (t_max,) + batch))
 
     @pytest.mark.parametrize("t_max", [64, 65, 100])  # widths 129, 131 and 201
     @pytest.mark.parametrize("edge", [0, -1])
@@ -553,23 +549,14 @@ class TestLightConeCrop:
         rng = np.random.default_rng(t_max)
         start = np.zeros((2, 2 * t_max + 1), dtype=np.complex128)
         start[:, edge] = rng.normal(size=2) + 1j * rng.normal(size=2)
-        coins = random_unitaries(rng, (t_max,))
-        seen = []
-        for t, a in walk_states(start, coins):
-            assert same_values(a, reference_walks(start, coins[:t]))
-            seen.append(t)
-        assert seen == list(range(1, t_max + 1))
-        amps = start.copy()
-        evolve_in_place(amps, coins)
-        assert same_values(amps, reference_walks(start, coins))
+        check_every_step(start, random_unitaries(rng, (t_max,)))
 
     def test_all_zero_amplitudes_stay_zero(self):
         amps = np.zeros((3, 2, 151), dtype=np.complex128)
         coins = random_unitaries(np.random.default_rng(1), (75, 3))
         seen = [(t, bool(np.any(a))) for t, a in walk_states(amps, coins)]
         assert seen == [(t, False) for t in range(1, 76)]
-        evolve_in_place(amps, coins)
-        assert not np.any(amps)
+        assert not np.any(evolved_walks(amps, coins))
 
     def test_every_state_of_a_narrow_band_after_earlier_steps(self):
         rng = np.random.default_rng(3)
@@ -583,7 +570,7 @@ class TestLightConeCrop:
 def check_every_step(start: np.ndarray, coins: np.ndarray, steps_taken: int = 0) -> None:
     """Compare every state of a walk from ``start`` with a ``reference_walks`` loop.
 
-    The final state of ``evolve_in_place`` is checked too.
+    ``evolve``'s final state of each walk is checked too.
     """
     expected = start.copy()
     seen = []
@@ -592,9 +579,7 @@ def check_every_step(start: np.ndarray, coins: np.ndarray, steps_taken: int = 0)
         assert same_values(a, expected), f"step {t}"
         seen.append(t)
     assert seen == list(range(steps_taken + 1, steps_taken + len(coins) + 1))
-    amps = start.copy()
-    evolve_in_place(amps, coins, steps_taken=steps_taken)
-    assert same_values(amps, expected)
+    assert same_values(evolved_walks(start, coins, steps_taken), expected)
 
 
 #: Window quanta, in sublattice columns, that the sublattice cases run with.
@@ -763,11 +748,9 @@ class TestSubnormalFlush:
             if t % core._FLUSH_PERIOD == 0:
                 assert subnormal_parts(a) == 0
                 flushed.append(subnormal_parts(expected))
-        amps = start.copy()
-        evolve_in_place(amps, coins)
         assert len(flushed) == self.STEPS // core._FLUSH_PERIOD
         assert max(flushed) > 0, "the reference never held a subnormal part to flush"
-        assert squared_bytes(amps) == squared_bytes(expected)
+        assert squared_bytes(evolved_walks(start, coins)) == squared_bytes(expected)
 
     def start(self, batch: tuple[int, ...]) -> np.ndarray:
         amps = np.zeros(batch + (2, 2 * self.STEPS + 1), dtype=np.complex128)
@@ -866,7 +849,7 @@ class TestPrefixProperty:
     cropped to the 2t + 1 sites of its lattice: every amplitude, the sign
     of every zero included.  Only even lengths hold this: a full-capacity
     walk of odd length has a width of 3 mod 4, so rule (ii) of
-    ``evolve_in_place`` redoes its last two steps, which may differ by an
+    ``core._walk_steps`` redoes its last two steps, which may differ by an
     ulp.  Steps 128 and 256 flush subnormal parts.
     """
 

@@ -1,6 +1,7 @@
 """Tests for schedule sampling, presets, and the seed-mixing contract."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,15 @@ class TestDisorderSpec:
         zero = ParameterRange(0.0, 0.0)
         with pytest.raises(TypeError):
             DisorderSpec(zero, zero, zero, mode=ORDERED)
+
+    @pytest.mark.parametrize("field", ["xi_range", "theta_range", "zeta_range"])
+    @pytest.mark.parametrize("bad", [1, (0.0, 1.0), None], ids=["number", "tuple", "none"])
+    def test_field_that_is_not_a_range_rejected(self, field, bad):
+        zero = ParameterRange(0.0, 0.0)
+        ranges = {"xi_range": zero, "theta_range": zero, "zeta_range": zero, field: bad}
+        message = re.escape(f"{field} must be a ParameterRange, got {bad!r}")
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            DisorderSpec(**ranges)
 
 
 class TestPresets:
@@ -201,6 +211,12 @@ class TestSampleSchedule:
     def test_negative_steps_rejected(self):
         with pytest.raises(InvalidParameterError):
             sample_schedule(preset_spec("full-range"), -1, master_seed=0)
+
+    @pytest.mark.parametrize("spec", ["theta-high", None], ids=["preset-name", "none"])
+    def test_spec_that_is_not_a_disorder_spec_rejected(self, spec):
+        message = re.escape(f"spec must be a DisorderSpec, got {spec!r}")
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            sample_schedule(spec, 3, 0)
 
     @pytest.mark.parametrize("steps", [3.9, True])
     def test_inexact_steps_rejected(self, steps):
