@@ -199,18 +199,16 @@ def localization_length(
         spread is not positive or any disordered one is negative; the
         message names the first such value.
     """
-    disordered = np.asarray(sigma_disordered)
-    ordered = np.asarray(sigma_ordered)
+    ordered = real_array("ordered spread", sigma_ordered)
+    disordered = real_array("disordered spread", sigma_disordered)
     if disordered.shape != ordered.shape:
         raise InvalidParameterError(
             f"spreads must have one shape, got {disordered.shape} and {ordered.shape}"
         )
-    for name, value, spread, above, bound in (
-        ("ordered", sigma_ordered, ordered, np.greater, "> 0"),
-        ("disordered", sigma_disordered, disordered, np.greater_equal, ">= 0"),
+    for name, spread, above, bound in (
+        ("ordered", ordered, np.greater, "> 0"),
+        ("disordered", disordered, np.greater_equal, ">= 0"),
     ):
-        if spread.dtype.kind not in "iuf":
-            raise InvalidParameterError(f"{name} spread must be an int or float, got {value!r}")
         # written so that NaN fails too
         bad = ~(above(spread, 0) & (spread < math.inf))
         if bad.any():

@@ -13,9 +13,8 @@ import argparse
 import itertools
 import json
 import math
-import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from coinwalk.analysis import (
     run_ensembles,
     variance,
 )
-from coinwalk.core import InitialStateParams, exact_int
+from coinwalk.core import InitialStateParams, exact_int, finite_real
 from coinwalk.disorder import (
     ORDERED,
     PER_STEP_RANDOM,
@@ -40,9 +39,9 @@ from coinwalk.disorder import (
     ordered_spec,
     preset_spec,
 )
-from coinwalk.errors import WalkError
+from coinwalk.errors import InvalidParameterError, WalkError
 
-__all__ = ["ExperimentConfig", "UsageError", "parse_config", "run_experiment", "main"]
+__all__ = ["ExperimentConfig", "parse_config", "run_experiment", "main"]
 
 RECIPE_NAMES = ("fig1", "fig2", "fig3", "fig4")
 
@@ -60,10 +59,6 @@ _DEFAULTS = {
 }
 
 _RANGE_FLAGS = ("xi_range", "theta_range", "zeta_range")
-
-
-class UsageError(Exception):
-    """Bad command line or config file; maps to exit status 2."""
 
 
 @dataclass(frozen=True)
@@ -135,61 +130,43 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_range(flag: str, text: str) -> ParameterRange:
     parts = str(text).split(":")
     if len(parts) != 2:
-        raise UsageError(f"{flag}: expected LO:HI, got {text!r}")
+        raise InvalidParameterError(f"{flag}: expected LO:HI, got {text!r}")
     try:
         low, high = float(parts[0]), float(parts[1])
     except ValueError:
-        raise UsageError(f"{flag}: expected numeric LO:HI, got {text!r}") from None
+        raise InvalidParameterError(f"{flag}: expected numeric LO:HI, got {text!r}") from None
     try:
         return ParameterRange(low, high)
     except WalkError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
-
-
-def _exact_int(flag: str, value) -> int:
-    try:
-        return exact_int(flag, value)
-    except WalkError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _real(flag: str, value):
-    """``value`` if it is a real number; ``InitialStateParams`` checks it is finite."""
-    # float(True) would silently give 1.0, and float("1.5") 1.5
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return value
-    raise UsageError(f"{flag} must be a number, got {value!r}")
+        raise InvalidParameterError(f"{flag}: {exc}") from None
 
 
 def _unique_keys(pairs: list) -> dict:
-    """A JSON object of a config file whose keys name each flag once, ``-`` and ``_`` alike."""
-    seen = set()
-    for key, _ in pairs:
+    """A JSON object of a config file, keyed by flag name: ``-`` becomes ``_``, each name once."""
+    values = {}
+    for key, value in pairs:
         name = key.replace("-", "_")
-        if name in seen:
-            raise UsageError(f"--config: key {name!r} given twice")
-        seen.add(name)
-    return dict(pairs)
+        if name in values:
+            raise InvalidParameterError(f"--config: key {name!r} given twice")
+        values[name] = value
+    return values
 
 
 def _load_config_file(path: str, known: set[str]) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"--config: cannot read {path!r} ({exc})") from None
+        raise InvalidParameterError(f"--config: cannot read {path!r} ({exc})") from None
     try:
         values = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"--config: {path!r} is not valid JSON ({exc})") from None
+        raise InvalidParameterError(f"--config: {path!r} is not valid JSON ({exc})") from None
     if not isinstance(values, dict):
-        raise UsageError(f"--config: {path!r} must hold a JSON object")
-    normalized = {}
-    for key, value in values.items():
-        name = str(key).replace("-", "_")
+        raise InvalidParameterError(f"--config: {path!r} must hold a JSON object")
+    for name in values:
         if name not in known:
-            raise UsageError(f"--config: unknown key {key!r}")
-        normalized[name] = value
-    return normalized
+            raise InvalidParameterError(f"--config: unknown key {name!r}")
+    return values
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
@@ -201,8 +178,9 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 
     Raises
     ------
-    UsageError
-        On any malformed or inconsistent value.
+    InvalidParameterError
+        On any malformed or inconsistent value; ``main`` exits 2 on it, as
+        on every ``WalkError``.
     SystemExit
         From argparse, on unknown flags or non-numeric numbers.
     """
@@ -221,7 +199,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 
     recipe = pick("recipe")
     if recipe is not None and recipe not in RECIPE_NAMES:
-        raise UsageError(f"recipe must be one of {RECIPE_NAMES}, got {recipe!r}")
+        raise InvalidParameterError(f"recipe must be one of {RECIPE_NAMES}, got {recipe!r}")
     if recipe is not None:
         fixed = ["steps", "preset", *_RANGE_FLAGS]
         offending = [
@@ -230,60 +208,46 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         ]
         if offending:
             flags = ", ".join("--" + name.replace("_", "-") for name in offending)
-            raise UsageError(f"{flags}: fixed by --recipe {recipe}; drop the flag")
+            raise InvalidParameterError(f"{flags}: fixed by --recipe {recipe}; drop the flag")
 
     out = pick("out")
     if out is None:
-        raise UsageError("--out is required")
+        raise InvalidParameterError("--out is required")
     if not isinstance(out, str):
-        raise UsageError(f"--out must be a path string, got {out!r}")
+        raise InvalidParameterError(f"--out must be a path string, got {out!r}")
 
-    steps = _exact_int("--steps", pick("steps"))
-    realizations = _exact_int("--realizations", pick("realizations"))
-    master_seed = _exact_int("--seed", pick("seed"))
-    delta = _real("--delta", pick("delta"))
-    phi = _real("--phi", pick("phi"))
+    steps = exact_int("--steps", pick("steps"))
+    realizations = exact_int("--realizations", pick("realizations"))
+    master_seed = exact_int("--seed", pick("seed"))
+    delta = finite_real("--delta", pick("delta"))
+    phi = finite_real("--phi", pick("phi"))
     if steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {steps}")
+        raise InvalidParameterError(f"--steps must be >= 1, got {steps}")
     if realizations < 1:
-        raise UsageError(f"--realizations must be >= 1, got {realizations}")
+        raise InvalidParameterError(f"--realizations must be >= 1, got {realizations}")
     # the seed mixer works mod 2**64, so a larger seed would alias a smaller one
     if not 0 <= master_seed < 2**64:
-        raise UsageError(f"--seed must lie in [0, 2**64), got {master_seed}")
+        raise InvalidParameterError(f"--seed must lie in [0, 2**64), got {master_seed}")
 
     fmt = str(pick("format"))
     if fmt not in ("csv", "json"):
-        raise UsageError(f"--format must be csv or json, got {fmt!r}")
+        raise InvalidParameterError(f"--format must be csv or json, got {fmt!r}")
 
     preset = str(pick("preset"))
     if preset not in PRESET_NAMES:
-        raise UsageError(f"--preset must be one of {PRESET_NAMES}, got {preset!r}")
+        raise InvalidParameterError(f"--preset must be one of {PRESET_NAMES}, got {preset!r}")
     base = preset_spec(preset)
     overrides = {
         name: _parse_range("--" + name.replace("_", "-"), raw)
         for name in _RANGE_FLAGS
         if (raw := pick(name)) is not None
     }
-    if overrides:
-        xi = overrides.get("xi_range", base.xi_range)
-        theta = overrides.get("theta_range", base.theta_range)
-        zeta = overrides.get("zeta_range", base.zeta_range)
-        spec = DisorderSpec(xi, theta, zeta)
-        preset_label = None
-    else:
-        spec = base
-        preset_label = preset
-
-    try:
-        initial = InitialStateParams(delta=delta, phi=phi)
-    except WalkError as exc:
-        raise UsageError(f"--delta/--phi: {exc}") from None
 
     return ExperimentConfig(
         steps=steps,
-        initial=initial,
-        spec=spec,
-        preset=preset_label,
+        initial=InitialStateParams(delta=delta, phi=phi),
+        spec=replace(base, **overrides),
+        preset=None if overrides else preset,
         realizations=realizations,
         master_seed=master_seed,
         output_path=Path(out),
@@ -342,9 +306,7 @@ def _write_meta(path: Path, config: ExperimentConfig, outputs: list[str]) -> Non
             "delta": config.initial.delta,
             "phi": config.initial.phi,
             "preset": config.preset,
-            "xi_range": [config.spec.xi_range.low, config.spec.xi_range.high],
-            "theta_range": [config.spec.theta_range.low, config.spec.theta_range.high],
-            "zeta_range": [config.spec.zeta_range.low, config.spec.zeta_range.high],
+            **{name: list(astuple(getattr(config.spec, name))) for name in _RANGE_FLAGS},
             "mode": config.spec.mode,
             "realizations": config.realizations,
             "master_seed": config.master_seed,
@@ -538,14 +500,9 @@ def run_experiment(config: ExperimentConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        config = parse_config(args)
+        return run_experiment(parse_config(args))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run_experiment(config)
     except WalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -101,6 +101,30 @@ def real_array(name: str, value) -> np.ndarray:
     return out.astype(np.float64, copy=False)
 
 
+def complex_array(name: str, value) -> np.ndarray:
+    """Return ``value`` as a complex128 array if it is finite and casts to one safely, else raise.
+
+    Integer, float and complex dtypes that complex128 holds exactly are
+    accepted; bools, strings, objects and wider types such as clongdouble
+    are rejected rather than converted or narrowed.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``value`` does not become such a numpy array, or holds a value
+        that is not finite.
+    """
+    out = np.asarray(value)
+    if out.dtype.kind not in "iufc" or not np.can_cast(out.dtype, np.complex128):
+        raise InvalidParameterError(
+            f"{name} must be integers, floats or complex numbers that fit complex128, "
+            f"got dtype {out.dtype}"
+        )
+    if not np.isfinite(out).all():
+        raise InvalidParameterError(f"{name} must be finite")
+    return out.astype(np.complex128, copy=False)
+
+
 @dataclass(frozen=True)
 class CoinParams:
     """Angle triple (xi, theta, zeta) selecting one U(2) coin operation.
@@ -144,7 +168,8 @@ class WalkState:
     ``amplitudes`` has shape (2, 2*t_max + 1): row 0 is the coin-|0>
     component, row 1 the coin-|1> component, and column i is lattice site
     x = i - t_max.  ``steps_taken`` counts how many walk steps produced
-    this state; it can never exceed ``t_max``.
+    this state; it can never exceed ``t_max``.  The amplitudes must pass
+    :func:`complex_array`.
     """
 
     t_max: int
@@ -155,7 +180,7 @@ class WalkState:
         self.t_max = exact_count("t_max", self.t_max)
         self.steps_taken = exact_count("steps_taken", self.steps_taken)
         expected = (2, 2 * self.t_max + 1)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        self.amplitudes = complex_array("amplitudes", self.amplitudes)
         if self.amplitudes.shape != expected:
             raise InvalidParameterError(
                 f"amplitudes must have shape {expected}, got {self.amplitudes.shape}"
@@ -496,11 +521,12 @@ def evolve(state: WalkState, coins) -> WalkState:
     CapacityError
         If the lattice cannot absorb that many further steps.
     InvalidParameterError
-        If ``coins`` is not a (steps, 2, 2) array, or a field of ``state``
-        fails the checks of a new ``WalkState``.
+        If ``coins`` is not a (steps, 2, 2) array that passes
+        :func:`complex_array`, or a field of ``state`` fails the checks of
+        a new ``WalkState``.
     """
     out = state.copy()
-    coins = np.asarray(coins, dtype=np.complex128)
+    coins = complex_array("coins", coins)
     if coins.shape[1:] != (2, 2):
         raise InvalidParameterError(f"coins must have shape (steps, 2, 2), got {coins.shape}")
     end = out.steps_taken + len(coins)

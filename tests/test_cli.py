@@ -10,6 +10,7 @@ import pytest
 from coinwalk import analysis, cli
 from coinwalk.cli import build_parser, main, parse_config
 from coinwalk.disorder import PER_STEP_RANDOM
+from coinwalk.errors import InvalidParameterError
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
@@ -107,6 +108,17 @@ class TestParseConfig:
         cfg.write_text(json.dumps({"recipe": "fig1", "out": "d"}))
         assert parse_config(["--config", str(cfg)]).recipe == "fig1"
 
+    @pytest.mark.parametrize(
+        "config, flags",
+        [({}, ["--steps", "-5"]), ({"steps": 2.9}, []), ({}, ["--theta-range", "1:0.5"])],
+        ids=["bad-flag", "bad-file-value", "reversed-range"],
+    )
+    def test_bad_input_raises_invalid_parameter_error(self, tmp_path, config, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(InvalidParameterError):
+            parse_config(["--config", str(cfg), *flags, "--out", "d.csv"])
+
     def test_missing_out_is_usage_error(self):
         assert main(["--steps", "10"]) == 2
 
@@ -166,7 +178,8 @@ class TestErrorPaths:
         out = tmp_path / "d.csv"
         assert main(["--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {named} must be a number") and err.count("\n") == 1
+        assert err.startswith(f"error: {named} must be a finite real number")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_angle_beyond_the_float_range_is_usage_error(self, tmp_path, capsys):
@@ -175,7 +188,7 @@ class TestErrorPaths:
         out = tmp_path / "d.csv"
         assert main(["--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --delta/--phi: delta must be a finite real number")
+        assert err.startswith("error: --delta must be a finite real number")
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -410,7 +410,18 @@ class TestEvolve:
         assert same_bits(initial.amplitudes, before)
 
     def test_coin_shape_rejected(self):
-        for bad in (np.eye(2), np.zeros((3, 2, 3)), np.zeros((2, 2, 2, 1))):
+        identity = np.eye(2)[None]
+        for bad in (
+            np.eye(2),
+            np.zeros((3, 2, 3)),
+            np.zeros((2, 2, 2, 1)),
+            identity.astype(bool),
+            [[["1", "0"], ["0", "1"]]],
+            identity.astype(object),
+            identity.astype(np.clongdouble),
+            np.full((1, 2, 2), np.nan),
+            np.array([[[1, np.inf], [0, 1]]]),
+        ):
             with pytest.raises(InvalidParameterError):
                 evolve(symmetric_state(3), bad)
 
@@ -421,8 +432,17 @@ class TestEvolve:
             ("steps_taken", 4, "steps_taken must lie in"),
             ("steps_taken", 1.5, "steps_taken must be an integer"),
             ("t_max", -1, "t_max must be >= 0"),
+            ("amplitudes", np.zeros((2, 7), dtype=bool), "amplitudes must be integers"),
+            ("amplitudes", np.full((2, 7), "0"), "amplitudes must be integers"),
+            ("amplitudes", np.zeros((2, 7), dtype=object), "amplitudes must be integers"),
+            ("amplitudes", np.zeros((2, 7), dtype=np.clongdouble), "amplitudes must be integers"),
+            ("amplitudes", np.full((2, 7), complex(0, np.nan)), "amplitudes must be finite"),
         ],
-        ids=["narrower-amplitudes", "steps-beyond-t_max", "float-steps", "negative-t_max"],
+        ids=[
+            "narrower-amplitudes", "steps-beyond-t_max", "float-steps", "negative-t_max",
+            "bool-amplitudes", "string-amplitudes", "object-amplitudes",
+            "clongdouble-amplitudes", "nan-amplitudes",
+        ],
     )
     def test_reassigned_state_rejected_before_any_step(self, monkeypatch, field, value, message):
         monkeypatch.setattr(core, "_walk_steps", lambda *args: pytest.fail("a step ran"))

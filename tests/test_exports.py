@@ -27,3 +27,16 @@ def test_package_reexports_exactly_the_module_lists():
 @pytest.mark.parametrize("name", ["step", "build_coin_matrix", "CoinSchedule"])
 def test_per_step_wrappers_are_gone(name):
     assert not any(hasattr(module, name) for module in (coinwalk, core, disorder))
+
+
+@pytest.mark.parametrize("module", [*REEXPORTED, cli], ids=lambda m: m.__name__)
+def test_every_exception_class_is_a_walk_error(module):
+    defined = [
+        value for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, BaseException)
+        and value.__module__ == module.__name__
+    ]
+    assert all(issubclass(cls, errors.WalkError) for cls in defined)
+    if module is errors:
+        # the filter finds every class the package documents
+        assert len(defined) == len(errors.__all__)
