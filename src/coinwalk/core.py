@@ -277,9 +277,9 @@ def build_initial_state(params: InitialStateParams, t_max: int) -> WalkState:
 #: zgemm computes a product's columns in blocks of 4, and a column inside a
 #: whole block gets the same bits wherever the block starts, so a window
 #: that starts on a multiple of 4 and is whole blocks long gives each column
-#: the bits of the full-lattice product (see :func:`_walk_steps`).  32
-#: and 64 timed the same on the 12,001-site walks and on 200-step ensembles
-#: of 401 sites.
+#: the bits of the full-lattice product zero-padded to whole blocks of 4
+#: columns (see :func:`_walk_steps`).  32 and 64 timed the same on the
+#: 12,001-site walks and on 200-step ensembles of 401 sites.
 _WINDOW_QUANTUM = 64
 
 #: Steps between flushes of subnormal amplitude parts to +0.0 (see
@@ -317,19 +317,15 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     input are found once, and step k multiplies the indices of columns
     [first - k + 1, last + k - 1] only, widened outward to whole quanta of
     ``_WINDOW_QUANTUM`` indices; outside them every amplitude is exactly
-    zero.  Three rules keep the bits of the full-lattice zgemm (checked with
-    numpy 2.4.6 and OpenBLAS 0.3.31; the kernel tests pin (i) and (ii)):
+    zero.  The amplitudes equal those of the full-lattice zgemm product
+    zero-padded to whole blocks of 4 columns, so they do not depend on the
+    lattice width or on where the walk sits inside a longer one.  Two rules
+    keep this (checked with numpy 2.4.6 and OpenBLAS 0.3.31; the kernel
+    tests pin (i)):
 
     (i) a column inside whole blocks of 4 gets the bits the full product
         gives it wherever the block starts, so every window starts on a
         multiple of 4 and is whole blocks long;
-    (ii) the full product's last r = width mod 4 columns round differently,
-        and a product over the 4 + r lattice columns that end at the last
-        one reproduces them, so from the first step whose input can hold
-        amplitude there, each step also runs that product and overwrites
-        what those columns landed (for a walk from the origin: never when
-        the width is 1 mod 4, the last two steps of a full-capacity walk
-        when it is 3 mod 4);
     (iii) amplitude must still leave the lattice: row 1 of the last column
         lands past the right edge, where a later window would read it, so
         from the first step that can move amplitude there on, the buffer
@@ -343,7 +339,7 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     exponentially small tails of long walks and make every multiply that
     touches them many times slower; each squares to exactly 0.
 
-    The amplitudes equal those of the full-lattice product except at the
+    The amplitudes equal those of the padded product except at the
     flushed parts and beside them, by less than 1e-306 (worst seen 8e-307;
     no differing amplitude exceeded 3e-291): far below half an ulp of any
     amplitude whose square is not 0.  Every |a|^2, distribution and moment
@@ -409,34 +405,6 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     leave_from = width - last
     pasts = [target[..., t_max + 2 :] for target in buffers]
 
-    # (ii): once the input can reach the full product's last r columns, each
-    # step redoes them over the 4 + r lattice columns that end at the last
-    # one, gathered from the source buffer, and overwrites what they landed.
-    # The other columns of that product are discarded, so whatever they hold
-    # does not matter.
-    r = width % 4
-    tail_from = width - r - last + 1
-    tails = (([], []), ([], []))  # per step parity: copies in, copies out
-    if tail_from <= len(coins):
-        span = min(4 + r, width)
-        scratch = np.zeros((len(classes),) + amps.shape[:-1] + (span,), np.complex128)
-        mixed = np.empty_like(scratch)
-        for s, (gathers, scatters) in enumerate(tails):
-            for i, c in enumerate(classes):
-                # the n tail columns c0, c0 + 2, ... on the parity this class
-                # is read from; row 0 lands from column c in c - 1, row 1 in
-                # c + 1, so in buffer columns c // 2 + 1 and c // 2 + 2
-                c0 = width - r + (width - r + c + s + 1) % 2
-                n = len(range(c0, width, 2))
-                if not n:
-                    continue
-                at = slice(c0 - (width - span), span, 2)
-                read, land = (c0 + 1) // 2 + 1, c0 // 2 + 1
-                target = buffers[s][i]
-                gathers.append((scratch[i][..., at], buffers[1 - s][i][..., read : read + n]))
-                scatters.append((target[..., 0, land : land + n], mixed[i][..., 0, at]))
-                scatters.append((target[..., 1, land + 1 : land + 1 + n], mixed[i][..., 1, at]))
-
     # On steps k = s mod 2 class c is read from parity (c + s + 1) % 2, whose
     # index j sits in buffer column j + 1 + that parity, and lands on the
     # other parity.
@@ -476,13 +444,6 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
         products, result = views[k % 2]
         for source, landing in products:
             np.matmul(coin, source, out=landing)
-        if k >= tail_from:
-            gathers, scatters = tails[k % 2]
-            for target, value in gathers:
-                np.copyto(target, value)
-            np.matmul(coin, scratch, out=mixed)
-            for target, value in scatters:
-                np.copyto(target, value)
         if k == 1:
             buffers[0].fill(0)
         if k >= leave_from:

@@ -9,7 +9,9 @@ every step confines the distribution relative to the ordered walk (the
 spread ratio of criterion 5 is ~0.08 and falling), but the ensemble-mean
 variance itself grows diffusively, variance ~ 0.4 * t, an exponent of ~1.05
 on every sampling variant we measured.  The bound is asserted as written
-and fails; see the repository notes for the full analysis.
+and fails; see the repository notes for the full analysis.  The same
+theta-high coins drawn once per site and kept for every step localize
+(``test_static_disorder_localizes``: exponent 0.19 at R=50).
 
 Pilot reference (master_seed=20260808, R=200, recorded 2026-08-08):
   exponents over t in {25,50,100,200}:
@@ -45,6 +47,7 @@ from coinwalk.core import (
 from coinwalk.disorder import PRESET_NAMES, evolve_disordered, preset_spec, sample_schedule
 
 from oracle_dense import dense_evolve
+from oracle_static import static_walk
 from walk_states import walk_states
 
 MASTER_SEED = 20260808
@@ -195,6 +198,36 @@ def test_criterion_4_regime_separation(regime_t200):
         "criterion 4 (regime separation)",
         ok,
         f"{'; '.join(clauses)}; runtime {elapsed:.1f}s (budget 120s)",
+    )
+
+
+def test_static_disorder_localizes():
+    """Coins random in space, not in time, give criterion 4's theta-high exponent.
+
+    The contrast to criterion 4's red clause: one theta-high coin drawn per
+    site and kept for every step (``oracle_static``) localizes, while the
+    package's coin, redrawn every step and the same at every site, diffuses.
+    """
+    steps, realizations = 200, 50
+    width = 2 * steps + 1
+    x = np.arange(-steps, steps + 1, dtype=np.float64)
+    coins = np.stack([
+        coin_matrices(sample_schedule(preset_spec("theta-high"), width, MASTER_SEED, r))
+        for r in range(realizations)
+    ])
+    start = build_initial_state(SYM, steps).amplitudes
+    series = []
+    for t, amps in static_walk(np.broadcast_to(start, (realizations, 2, width)), coins, steps):
+        if t in FIT_TIMES:
+            p = (np.abs(amps) ** 2).sum(axis=-2)
+            mean = p @ x
+            series.append((t, float(np.mean(p @ (x * x) - mean * mean))))
+    exponent = spreading_exponent(series)
+    report(
+        "static disorder contrast",
+        exponent < THETA_HIGH_EXPONENT_MAX,
+        f"theta-high coins per site: exponent={exponent:.4f} "
+        f"(required < {THETA_HIGH_EXPONENT_MAX}), variance(t={steps})={series[-1][1]:.2f}",
     )
 
 

@@ -435,6 +435,9 @@ PINNED_RUNS["plain-theta-high-r3"] = [
     "--preset", "theta-high", "--steps", "50", "--realizations", "3", "--seed", "5",
 ]
 PINNED_RUNS["plain-theta-high-r1"] = ["--preset", "theta-high", "--steps", "50", "--seed", "5"]
+PINNED_RUNS["plain-theta-high-odd-r3"] = [
+    "--preset", "theta-high", "--steps", "99", "--realizations", "3", "--seed", "5",
+]
 PINNED_RUNS["plain-theta-range-json-r1"] = [
     "--steps", "50", "--theta-range", "0.3:1.2", "--format", "json",
     "--delta", "1.1", "--phi", "0.4",
@@ -549,6 +552,12 @@ OUTPUT_DIGESTS = {
     "plain-theta-high-r3": {
         "run.csv": "ed7a59894f771b07b26dc74c5008d44a82b57d8b517d125e5455b9de5b7111bc",
         "run.metrics.json": "6a6bc72593587516fa8dd886698df6a4c62c90b15ea9183c81c0671760ab7987",
+    },
+    # captured once the step kernel gave every column whole-block bits, so
+    # an odd-length walk's last columns round as in a longer walk
+    "plain-theta-high-odd-r3": {
+        "run.csv": "008ff4eb1f7d3bc0f3ff44c86684d4dc09f1796554a4480ae30e267b386523f2",
+        "run.metrics.json": "ea135c29504b8fecbbb42bf4b4e746daf1b703b9d10f5ac2d6a26ba3b8a02a59",
     },
     # the two single-walk runs were captured while a one-realization walk
     # still had its own pipeline in the CLI

@@ -28,7 +28,8 @@ from coinwalk.core import (
 from coinwalk.disorder import PRESET_NAMES, preset_spec, sample_schedule, evolve_disordered
 from coinwalk.errors import CapacityError, InvalidParameterError
 
-from oracle_dense import dense_coin, dense_evolve
+from oracle_dense import dense_coin, dense_evolve, dense_shift
+from oracle_static import static_walk
 from walk_states import walk_states
 
 HALF_PI = math.pi / 2
@@ -46,8 +47,16 @@ def symmetric_state(t_max: int) -> WalkState:
 
 
 def reference_step(amplitudes: np.ndarray, coin: np.ndarray) -> np.ndarray:
-    """One step written out as a fresh product and a shift into a zeroed array."""
-    mixed = coin @ amplitudes
+    """One step written out as a fresh product and a shift into a zeroed array.
+
+    The product runs over the lattice zero-padded to whole blocks of 4
+    columns and is cropped back to the lattice width, so no column gets
+    zgemm's rounding for a last partial block.
+    """
+    width = amplitudes.shape[-1]
+    padded = np.zeros((2, -(-width // 4) * 4), dtype=np.complex128)
+    padded[:, :width] = amplitudes
+    mixed = (coin @ padded)[:, :width]
     out = np.zeros_like(mixed)
     out[0, :-1] = mixed[0, 1:]
     out[1, 1:] = mixed[1, :-1]
@@ -612,7 +621,8 @@ class TestParitySublattice:
     Every case compares the kernel with a full-lattice ``reference_step``
     loop after every step, at several window quanta, on inputs that reach
     what the half-lattice layout must handle: both parities at once, the
-    lattice edges, and the full product's last partial block of 4 columns.
+    lattice edges, and widths of 3 mod 4, whose last columns fill only part
+    of a block of 4.
     """
 
     @pytest.mark.parametrize("quantum", QUANTA)
@@ -652,7 +662,8 @@ class TestParitySublattice:
     @pytest.mark.parametrize("quantum", QUANTA)
     @pytest.mark.parametrize("t_max", [101, 103])  # widths 203 and 207: 3 mod 4
     def test_full_capacity_walk_from_the_origin(self, monkeypatch, quantum, t_max):
-        # the last two steps read the full product's last three columns
+        # the last two steps reach the lattice's last three columns, which
+        # fill only part of a block of 4
         monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
         rng = np.random.default_rng(t_max)
         start = np.zeros((2, 2, 2 * t_max + 1), dtype=np.complex128)
@@ -661,14 +672,12 @@ class TestParitySublattice:
 
 
 class TestZgemmColumnBits:
-    """The two facts about zgemm's rounding that the kernel's layout relies on.
+    """The fact about zgemm's rounding that the kernel's layout relies on.
 
-    (i) A column inside whole blocks of 4 gets the full product's bits
-    wherever the block starts; (ii) the full product's last r = width mod 4
-    columns get their bits back from a product over the 4 + r columns that
-    end at the last one.  Both held with numpy 2.4.6 on OpenBLAS 0.3.31
+    A column inside whole blocks of 4 gets the full product's bits wherever
+    the block starts.  This held with numpy 2.4.6 on OpenBLAS 0.3.31
     (scipy-openblas64, DYNAMIC_ARCH, Haswell kernels, 2 threads).  A BLAS
-    build that breaks either fails here by name, not only through a pinned
+    build that breaks it fails here by name, not only through a pinned
     digest.
     """
 
@@ -689,18 +698,6 @@ class TestZgemmColumnBits:
             buffer[..., pad : pad + n] = amps[..., j0 : j0 + n]
             window = coin @ buffer[..., pad : pad + n]
             assert same_bits(window, full[..., j0 : j0 + n].copy()), (width, j0, n)
-
-    @pytest.mark.parametrize("batch", [(), (5,)])
-    def test_the_last_columns_come_back_from_the_4_plus_r_columns_ending_there(self, batch):
-        rng = np.random.default_rng(12)
-        for t_max in range(2, 150):
-            width = 2 * t_max + 1
-            r = width % 4
-            coin = random_unitaries(rng, batch)
-            amps = random_amplitudes(rng, batch + (2, width))
-            full = coin @ amps
-            tail = coin @ amps[..., width - 4 - r :].copy()
-            assert same_bits(tail[..., 4:], full[..., width - r :].copy()), width
 
 
 class TestVecdotRowBits:
@@ -862,23 +859,23 @@ class TestPinnedOrderedWalk:
 
 
 class TestPrefixProperty:
-    """A walk of even length t is the first t steps of a longer walk, bit for bit.
+    """A walk of any length t is the first t steps of a longer walk, bit for bit.
 
     Schedules extend each other, so a t-step walk's coins are the first t of
     a longer schedule, and its state equals the longer walk's after t steps
     cropped to the 2t + 1 sites of its lattice: every amplitude, the sign
-    of every zero included.  Only even lengths hold this: a full-capacity
-    walk of odd length has a width of 3 mod 4, so rule (ii) of
-    ``core._walk_steps`` redoes its last two steps, which may differ by an
-    ulp.  Steps 128 and 256 flush subnormal parts.
+    of every zero included.  Odd lengths have widths of 3 mod 4, even ones
+    of 1 mod 4.  Steps 128 and 256 flush subnormal parts.
     """
 
     LONG = 400
-    LENGTHS = (2, 4, 10, 64, 128, 130, 256, 398)
+    LENGTHS = (
+        1, 2, 3, 4, 5, 10, 63, 64, 101, 127, 128, 129, 130, 255, 256, 257, 397, 398, 399,
+    )
 
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("preset", PRESET_NAMES)
-    def test_even_length_walk_is_a_prefix_of_a_longer_one(self, preset, seed):
+    def test_every_walk_is_a_prefix_of_a_longer_one(self, preset, seed):
         coins = coin_matrices(sample_schedule(preset_spec(preset), self.LONG, seed))
         prefixes = {
             t: a[:, self.LONG - t : self.LONG + t + 1]
@@ -1022,3 +1019,30 @@ class TestDenseOracle:
         for triple in angles:
             state = evolve(state, coin_matrices([triple]))
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+
+
+class TestStaticOracle:
+    """``oracle_static.static_walk``, the one-coin-per-site walk of the tests."""
+
+    def test_a_coin_per_site_matches_dense_operator(self):
+        t_max = 8
+        n = 2 * t_max + 1
+        coins = coin_matrices(sample_schedule(preset_spec("full-range"), n, master_seed=3))
+        # basis index coin * n + site, as in oracle_dense
+        per_site = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+        for site, coin in enumerate(coins):
+            per_site[site::n, site::n] = coin
+        operator = dense_shift(n) @ per_site
+        vec = symmetric_state(t_max).amplitudes.reshape(-1)
+        for t, a in static_walk(symmetric_state(t_max).amplitudes, coins, t_max):
+            vec = operator @ vec
+            np.testing.assert_allclose(a, vec.reshape(2, n), atol=1e-12, err_msg=str(t))
+
+    def test_one_coin_at_every_site_is_the_package_walk(self):
+        t_max = 60
+        coin = coin_matrices([(0.4, 1.1, 0.9)])
+        start = symmetric_state(t_max)
+        coins = np.broadcast_to(coin, (2 * t_max + 1, 2, 2))
+        for t, a in static_walk(start.amplitudes, coins, t_max):
+            expected = evolve(start, np.broadcast_to(coin, (t, 2, 2))).amplitudes
+            np.testing.assert_allclose(a, expected, atol=1e-12, err_msg=str(t))
