@@ -325,90 +325,100 @@ def run_ensemble(
         If a realization's total probability deviates from 1 by more than
         ``NORM_DRIFT_LIMIT``.
     """
-    return run_ensembles([(spec, realizations)], initial, steps, master_seed, track_per_step)[0]
+    return run_ensembles([(spec, steps, realizations)], initial, master_seed, track_per_step)[0]
 
 
 def run_ensembles(
     ensembles,
     initial: InitialStateParams,
-    steps: int,
     master_seed: int,
     track_per_step: bool = False,
 ) -> list[EnsembleStats]:
-    """Run several ensembles of one length as one batch of walks.
+    """Run several ensembles, of one length or of several, as one batch of walks.
 
-    ``ensembles`` is a sequence of ``(spec, realizations)`` pairs, and the
-    result holds one :class:`EnsembleStats` per pair, in order, each equal
-    bit for bit to what :func:`run_ensemble` gives for that pair.  The
-    walks of all pairs are evolved together in chunks of ``_CHUNK_BYTES``,
-    a chunk may hold walks of several pairs, and each pair's statistics
-    still accumulate one realization at a time in index order.  An ordered
-    pair evolves one walk that stands for all of its realizations.
+    ``ensembles`` is a sequence of ``(spec, steps, realizations)`` triples,
+    and the result holds one :class:`EnsembleStats` per triple, in order,
+    each equal bit for bit to what :func:`run_ensemble` gives for that
+    triple.  A walk is realization r of a spec, told apart by value: it runs
+    once, and each triple reads its state after its own steps, over its own
+    lattice |x| <= steps.  So a triple given twice runs its walks once, and
+    an ordered spec evolves one walk that stands for all of each triple's
+    realizations.  The walks are evolved together in chunks of
+    ``_CHUNK_BYTES``, a chunk may hold walks of several triples, and each
+    triple's statistics still accumulate one realization at a time in index
+    order.  Per-step tracking (``track_per_step``) needs every triple to
+    have one length.
 
     Raises
     ------
     InvalidParameterError
         If ``ensembles`` is empty or holds an item that is not a ``(spec,
-        realizations)`` pair, a ``spec`` is not a :class:`DisorderSpec`,
-        ``initial`` is not an :class:`InitialStateParams`, ``steps`` or a
-        ``realizations`` is not an integer, a ``realizations`` < 1,
-        ``steps`` < 0 or ``track_per_step`` is not a bool; all are checked
-        before any walk runs.
+        steps, realizations)`` triple, a ``spec`` is not a
+        :class:`DisorderSpec`, ``initial`` is not an
+        :class:`InitialStateParams`, a ``steps`` or ``realizations`` is not
+        an integer, a ``realizations`` < 1, a ``steps`` < 0,
+        ``track_per_step`` is not a bool, or it is true and the triples
+        have more than one length; all are checked before any walk runs.
     NormDriftError
         If a realization's total probability deviates from 1 by more than
         ``NORM_DRIFT_LIMIT``.
     """
-    steps = exact_count("steps", steps)
     if not isinstance(initial, InitialStateParams):
         raise InvalidParameterError(f"initial must be an InitialStateParams, got {initial!r}")
     if not isinstance(track_per_step, (bool, np.bool_)):
         raise InvalidParameterError(f"track_per_step must be a bool, got {track_per_step!r}")
-    pairs = []
-    for pair in ensembles:
-        if not isinstance(pair, Sequence) or len(pair) != 2:
+    triples = []
+    for triple in ensembles:
+        if not isinstance(triple, Sequence) or len(triple) != 3:
             raise InvalidParameterError(
-                f"an ensemble must be a (spec, realizations) pair, got {pair!r}"
+                f"an ensemble must be a (spec, steps, realizations) triple, got {triple!r}"
             )
-        spec, realizations = pair[0], exact_int("realizations", pair[1])
+        spec, steps, realizations = triple
+        steps, realizations = exact_count("steps", steps), exact_int("realizations", realizations)
         if not isinstance(spec, DisorderSpec):
             raise InvalidParameterError(f"spec must be a DisorderSpec, got {spec!r}")
         if realizations < 1:
             raise InvalidParameterError(f"realizations must be >= 1, got {realizations}")
-        pairs.append((spec, realizations))
-    if not pairs:
+        triples.append((spec, steps, realizations))
+    if not triples:
         raise InvalidParameterError("need at least one ensemble")
+    lengths = {steps for _, steps, _ in triples}
+    if track_per_step and len(lengths) > 1:
+        raise InvalidParameterError(f"per-step tracking needs one length, got {sorted(lengths)}")
+    # serves[(spec, r)][length] lists the (triple, realizations it stands
+    # for) that read walk r of spec after `length` steps.  The walks of a
+    # spec come in index order, so every triple meets its own in that order.
+    serves: dict = {}
+    for e, (spec, length, realizations) in enumerate(triples):
+        copies = realizations if spec.mode == ORDERED else 1
+        for r in range(0, realizations, copies):
+            serves.setdefault((spec, r), {}).setdefault(length, []).append((e, copies))
+    steps = max(lengths)
     width = 2 * steps + 1
     positions = np.arange(-steps, steps + 1, dtype=np.float64)
     positions_squared = positions * positions
-    mean_ps = [np.zeros(width, dtype=np.float64) for _ in pairs]
-    final_variances = [np.empty(realizations, dtype=np.float64) for _, realizations in pairs]
-    per_steps = [np.zeros(steps + 1, dtype=np.float64) if track_per_step else None for _ in pairs]
+    mean_ps = [np.zeros(2 * length + 1, dtype=np.float64) for _, length, _ in triples]
+    final_variances = [np.empty(realizations, dtype=np.float64) for *_, realizations in triples]
+    per_steps = [np.zeros(steps + 1, dtype=np.float64) if track_per_step else None for _ in triples]
 
-    # (ensemble, first realization, realizations the walk stands for)
-    copies = [realizations if spec.mode == ORDERED else 1 for spec, realizations in pairs]
-    walks = (
-        (e, r, copies[e])
-        for e, (_, realizations) in enumerate(pairs)
-        for r in range(0, realizations, copies[e])
-    )
-    total = sum(realizations // c for (_, realizations), c in zip(pairs, copies))
-    chunk = min(_chunk_size(width), total)
+    walks = iter(serves.items())
+    chunk = min(_chunk_size(width), len(serves))
     start = build_initial_state(initial, t_max=steps).amplitudes
     # The states reduced, after every step t = 0 .. steps when tracking and
-    # after the last otherwise, pass through blocks of `block` states.  Row
-    # i of a block holds state t's occupied half lattice over the block's
-    # widest cone |x| <= u of t's parity; outside t's own cone those
-    # amplitudes are exact zeros and square to the +0 its distribution has
-    # there.  A tracking block starts at a multiple of its even length, so
-    # row i of `p_block` always holds one parity, and the other parity keeps
-    # the zeros of its fill.
+    # after each length a walk of the chunk serves otherwise, pass through
+    # blocks of `block` states.  Row i of a block holds state t's occupied
+    # half lattice over the block's widest cone |x| <= u of t's parity;
+    # outside t's own cone those amplitudes are exact zeros and square to
+    # the +0 its distribution has there.  A tracking block starts at a
+    # multiple of its even length, so row i of `p_block` always holds one
+    # parity, and the other parity keeps the zeros of the chunk's first fill.
     block = _block_steps(chunk, steps) if track_per_step else 1
     cone_buf = np.zeros(block * chunk * 2 * (steps + 1), dtype=np.complex128)
     p_block = np.empty((block, chunk, width), dtype=np.float64)
     step_variances = np.zeros((chunk, steps + 1), dtype=np.float64)
 
-    def reduce(cones: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Distributions and variances of the states in ``cones``, the last after t steps."""
+    def reduce(cones: np.ndarray, t: int) -> np.ndarray:
+        """Distributions of the states in ``cones``, the last after t steps."""
         m, n = cones.shape[:2]
         parts = cones.view(np.float64)
         np.multiply(parts, parts, out=parts)
@@ -419,26 +429,30 @@ def run_ensembles(
             rows = sums[first::2, :, :, : u + 1]
             cone = slice(steps - u, steps + u + 1, 2)
             np.add(rows[:, :, 0], rows[:, :, 1], out=p_block[first:m:2, :n, cone])
-        p = p_block[:m, :n]
-        return p, _moments(p, positions, positions_squared)[1]
+        return p_block[:m, :n]
 
     while batch := list(itertools.islice(walks, chunk)):
         n = len(batch)
+        # the chunk's walks step together, to the longest length one serves
+        end = max(max(served) for _, served in batch)
         params = np.stack(
-            [sample_schedule(pairs[e][0], steps, master_seed, r) for e, r, _ in batch], axis=1
+            [sample_schedule(spec, end, master_seed, r) for (spec, r), _ in batch], axis=1
         )
-        coins = coin_matrices(params.reshape(-1, 3)).reshape(steps, n, 2, 2)
+        coins = coin_matrices(params.reshape(-1, 3)).reshape(end, n, 2, 2)
         amps = np.broadcast_to(start, (n, 2, width))
-        # the previous chunk's last blocks wrote wider cones
-        p_block.fill(0.0)
+        observed = {length for _, served in batch for length in served}
         states = itertools.chain(
             [(0, {steps % 2: amps[..., steps % 2 :: 2]})], _walk_steps(amps, coins, 0)
         )
         held = 0
         for t, halves in states:
-            if not track_per_step and t < steps:
+            if not (track_per_step or t in observed):
                 continue
             if not held:
+                # a chunk's first block follows the previous chunk's wider
+                # cones, and a lone state may follow one of the other parity
+                if t == 0 or not track_per_step:
+                    p_block.fill(0.0)
                 last = min(t + block - 1, steps)
                 cones = cone_buf[: (last - t + 1) * n * 2 * (last + 1)]
                 cones = cones.reshape(last - t + 1, n, 2, last + 1)
@@ -449,21 +463,25 @@ def run_ensembles(
             np.copyto(cones[held, :, :, : u + 1], halves[(steps + t) % 2][..., j : j + u + 1])
             held += 1
             if t == last:
-                p, variances = reduce(cones, last)
+                # a lone state after t steps is read over the lattice |x| <= t;
+                # only tracking reads step_variances
+                crop = slice(None) if track_per_step else slice(steps - t, steps + t + 1)
+                p = reduce(cones, last)[..., crop]
+                variances = _moments(p, positions[crop], positions_squared[crop])[1]
                 step_variances[:n, last - held + 1 : last + 1] = variances.T
                 held = 0
-        p, variances = p[-1], variances[-1]
-        for j, (e, r, c) in enumerate(batch):
-            _check_total(p[j])
-            final_variances[e][r : r + c] = variances[j]
-            for _ in range(c):
-                mean_ps[e] += p[j]
-                if track_per_step:
-                    per_steps[e] += step_variances[j]
+                for j, ((_, r), served) in enumerate(batch):
+                    for e, c in served.get(t, ()):
+                        _check_total(p[-1, j])
+                        final_variances[e][r : r + c] = variances[-1, j]
+                        for _ in range(c):
+                            mean_ps[e] += p[-1, j]
+                            if track_per_step:
+                                per_steps[e] += step_variances[j]
 
     results = []
-    for (_, realizations), mean_p, variances, per_step in zip(
-        pairs, mean_ps, final_variances, per_steps
+    for (_, length, realizations), mean_p, variances, per_step in zip(
+        triples, mean_ps, final_variances, per_steps
     ):
         mean_p /= realizations
         if per_step is not None:
@@ -471,7 +489,7 @@ def run_ensembles(
         results.append(
             EnsembleStats(
                 realizations=realizations,
-                mean_distribution=PositionDistribution(t=steps, p=mean_p),
+                mean_distribution=PositionDistribution(t=length, p=mean_p),
                 mean_variance=float(variances.mean()),
                 variance_of_variance=float(variances.var()),
                 per_step_variance=per_step,

@@ -356,7 +356,7 @@ RECIPE_PANELS = {
 
 
 def _walk_keys(panel: tuple) -> list:
-    """The walks a panel needs: its own, and the ordered reference if it is compared with one."""
+    """The ensembles a panel needs: its own, and the ordered reference if compared with one."""
     _, spec, _, steps, realizations, classical = panel
     keys = [(spec, steps, realizations)]
     if not classical and spec.mode == PER_STEP_RANDOM:
@@ -364,35 +364,20 @@ def _walk_keys(panel: tuple) -> list:
     return keys
 
 
-def _run_walks(config: ExperimentConfig, keys: list, track_per_step: bool = False) -> dict:
-    """Run each distinct ``(spec, steps, realizations)`` walk once, one batch per length.
-
-    Keys are told apart by value, so a walk that two panels need, such as an
-    ordered panel that doubles as the reference walk, runs once; a single
-    walk is one realization.
-    """
-    by_steps: dict[int, list] = {}
-    for key in dict.fromkeys(keys):
-        by_steps.setdefault(key[1], []).append(key)
-    walks = {}
-    for steps, group in by_steps.items():
-        pairs = [(spec, realizations) for spec, _, realizations in group]
-        stats = run_ensembles(pairs, config.initial, steps, config.master_seed, track_per_step)
-        walks.update(zip(group, stats))
-    return walks
-
-
 def _run_panels(config: ExperimentConfig, panels: list[tuple]) -> list[dict]:
     """Write each panel's distribution and return the panels' metrics, in order.
 
     A panel is ``(path, spec, preset, steps, realizations, classical)``.  The
-    walks every panel needs (:func:`_walk_keys`) run in one
-    :func:`_run_walks` call.  A disordered walk's metrics compare it with the
-    ordered reference walk of the same length, unless the panel is
-    ``classical``.
+    ensembles every panel needs (:func:`_walk_keys`) run in one
+    :func:`run_ensembles` call.  They are told apart by value, so an
+    ensemble that two panels need, such as an ordered panel that doubles as
+    the reference, is one; a single walk is one realization.  A disordered
+    walk's metrics compare it with the ordered reference walk of the same
+    length, unless the panel is ``classical``.
     """
     plans = [(panel, _walk_keys(panel)) for panel in panels]
-    walks = _run_walks(config, [key for _, keys in plans for key in keys])
+    keys = list(dict.fromkeys(key for _, keys in plans for key in keys))
+    walks = dict(zip(keys, run_ensembles(keys, config.initial, config.master_seed)))
     payloads = []
     for (path, _, preset, steps, realizations, classical), (own, *reference) in plans:
         stats = walks[own]
@@ -446,16 +431,16 @@ def _recipe_panels(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[
 def _recipe_fig4(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[str]]:
     steps = 400
     reference_thetas = (math.pi / 6, math.pi / 4, math.pi / 3)
-    num_key = (preset_spec("theta-high"), steps, config.realizations)
-    ref_keys = [(ordered_spec(theta), steps, 1) for theta in reference_thetas]
-    walks = _run_walks(config, [num_key, *ref_keys], track_per_step=True)
-    num_sigma = np.sqrt(walks[num_key].per_step_variance)
+    ensembles = [(preset_spec("theta-high"), steps, config.realizations)]
+    ensembles += [(ordered_spec(theta), steps, 1) for theta in reference_thetas]
+    num, *refs = run_ensembles(ensembles, config.initial, config.master_seed, track_per_step=True)
+    num_sigma = np.sqrt(num.per_step_variance)
 
     metrics: dict[str, dict] = {}
     times = range(1, steps + 1)
     columns: dict[str, list] = {"t": [], "theta_ref": [], "loc_length": []}
-    for theta, ref_key in zip(reference_thetas, ref_keys):
-        ref_sigma = np.sqrt(walks[ref_key].per_step_variance)
+    for theta, ref in zip(reference_thetas, refs):
+        ref_sigma = np.sqrt(ref.per_step_variance)
         ratios = localization_length(num_sigma[1:], ref_sigma[1:]).tolist()
         columns["t"] += times
         columns["theta_ref"] += [theta] * steps

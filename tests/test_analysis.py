@@ -484,18 +484,31 @@ class TestRunEnsembles:
     #: theta-high R = 3 listed a second time
     PAIRS = [("hadamard-ordered", 3), ("theta-high", 3), ("full-range", 1), ("theta-high", 3)]
 
+    #: (preset, steps, realizations): lengths 0, 7, 8, 30 and 31; theta-high
+    #: at two lengths, hadamard-ordered at two lengths with different R, and
+    #: one triple given twice
+    MIXED = [
+        ("theta-high", 7, 3), ("hadamard-ordered", 30, 2), ("theta-high", 30, 5),
+        ("full-range", 0, 2), ("hadamard-ordered", 7, 4), ("theta-low", 31, 2),
+        ("theta-high", 7, 3), ("full-range", 8, 1),
+    ]
+
+    @staticmethod
+    def triples(steps: int) -> list:
+        return [(preset_spec(name), steps, count) for name, count in TestRunEnsembles.PAIRS]
+
     @pytest.mark.parametrize("track", [False, True], ids=["final", "per-step"])
     @pytest.mark.parametrize("chunk", [None, 1, 2, 4], ids=["module", "1", "2", "4"])
     def test_equals_one_run_ensemble_per_pair_bit_for_bit(self, monkeypatch, chunk, track):
         steps, width = 30, 61
         if chunk is not None:
-            # the 8 walks split inside the theta-high pairs and across pairs
+            # the 8 walks split inside the theta-high triples and across triples
             monkeypatch.setattr(analysis, "_CHUNK_BYTES", chunk * 2 * 2 * width * 16)
             assert analysis._chunk_size(width) == chunk
-        pairs = [(preset_spec(name), realizations) for name, realizations in self.PAIRS]
-        batched = run_ensembles(pairs, SYM, steps, 6, track_per_step=track)
-        assert len(batched) == len(pairs)
-        for stats, (spec, realizations) in zip(batched, pairs):
+        triples = self.triples(steps)
+        batched = run_ensembles(triples, SYM, 6, track_per_step=track)
+        assert len(batched) == len(triples)
+        for stats, (spec, _, realizations) in zip(batched, triples):
             alone = run_ensemble(spec, SYM, steps, realizations, 6, track_per_step=track)
             assert stats.realizations == realizations
             assert stats.mean_distribution.p.tobytes() == alone.mean_distribution.p.tobytes()
@@ -506,9 +519,49 @@ class TestRunEnsembles:
             else:
                 assert stats.per_step_variance is None
 
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 4], ids=["module", "1", "2", "4"])
+    def test_mixed_lengths_equal_one_run_ensemble_per_triple_bit_for_bit(self, monkeypatch, chunk):
+        width = 63
+        if chunk is not None:
+            # the batch's lattice is that of its longest triple, 31 steps
+            monkeypatch.setattr(analysis, "_CHUNK_BYTES", chunk * 2 * 2 * width * 16)
+            assert analysis._chunk_size(width) == chunk
+        triples = [(preset_spec(name), steps, count) for name, steps, count in self.MIXED]
+        batched = run_ensembles(triples, SYM, 6)
+        assert len(batched) == len(triples)
+        for stats, (spec, steps, realizations) in zip(batched, triples):
+            alone = run_ensemble(spec, SYM, steps, realizations, 6)
+            assert stats.realizations == realizations
+            assert stats.mean_distribution.t == steps
+            assert stats.mean_distribution.p.tobytes() == alone.mean_distribution.p.tobytes()
+            assert stats.mean_variance == alone.mean_variance
+            assert stats.variance_of_variance == alone.variance_of_variance
+            assert stats.per_step_variance is None
+
+    def test_each_walk_runs_once(self, monkeypatch):
+        sampled = []
+
+        def counted(spec, steps, master_seed, r, _real=analysis.sample_schedule):
+            sampled.append((spec, steps, r))
+            return _real(spec, steps, master_seed, r)
+
+        monkeypatch.setattr(analysis, "sample_schedule", counted)
+        run_ensembles([(preset_spec(name), steps, count) for name, steps, count in self.MIXED],
+                      SYM, 6)
+        theta_high, ordered, full, low = map(
+            preset_spec, ("theta-high", "hadamard-ordered", "full-range", "theta-low")
+        )
+        # 5 theta-high walks, one ordered walk, 2 full-range and 2 theta-low
+        # walks, in one chunk that steps to the longest length, 31
+        assert sampled == [
+            (theta_high, 31, 0), (theta_high, 31, 1), (theta_high, 31, 2), (ordered, 31, 0),
+            (theta_high, 31, 3), (theta_high, 31, 4), (full, 31, 0), (full, 31, 1),
+            (low, 31, 0), (low, 31, 1),
+        ]
+
     def test_each_pair_equals_the_per_realization_loop(self):
-        pairs = [(preset_spec(name), realizations) for name, realizations in self.PAIRS]
-        for stats, (spec, realizations) in zip(run_ensembles(pairs, SYM, 24, 9, True), pairs):
+        triples = self.triples(24)
+        for stats, (spec, _, realizations) in zip(run_ensembles(triples, SYM, 9, True), triples):
             assert_same_ensemble(stats, reference_ensemble(spec, 24, realizations, 9, True))
 
     @pytest.mark.parametrize(
@@ -517,20 +570,44 @@ class TestRunEnsembles:
     def test_bad_realizations_rejected_before_any_walk(self, monkeypatch, realizations):
         sampled = []
         monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
-        # the bad pair comes last, after a good one
-        pairs = [(preset_spec("theta-high"), 2), (preset_spec("full-range"), realizations)]
+        # the bad triple comes last, after a good one
+        triples = [(preset_spec("theta-high"), 10, 2),
+                   (preset_spec("full-range"), 10, realizations)]
         with pytest.raises(InvalidParameterError):
-            run_ensembles(pairs, SYM, 10, 1)
+            run_ensembles(triples, SYM, 1)
+        assert sampled == []
+
+    @pytest.mark.parametrize(
+        "steps, error",
+        [(True, "must be an integer"), (2.0, "must be an integer"), (-1, "steps must be >= 0")],
+        ids=["bool", "float", "negative"],
+    )
+    def test_bad_steps_rejected_before_any_walk(self, monkeypatch, steps, error):
+        sampled = []
+        monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
+        # the bad triple comes last, after a good one
+        triples = [(preset_spec("theta-high"), 10, 2), (preset_spec("full-range"), steps, 3)]
+        with pytest.raises(InvalidParameterError, match=error):
+            run_ensembles(triples, SYM, 1)
+        assert sampled == []
+
+    def test_tracking_over_two_lengths_rejected_before_any_walk(self, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
+        triples = [(preset_spec("theta-high"), 10, 2), (preset_spec("theta-high"), 20, 2)]
+        message = r"^per-step tracking needs one length, got \[10, 20\]$"
+        with pytest.raises(InvalidParameterError, match=message):
+            run_ensembles(triples, SYM, 1, track_per_step=True)
         assert sampled == []
 
     @pytest.mark.parametrize("spec", ["theta-high", None], ids=["name", "none"])
     def test_spec_that_is_not_a_disorder_spec_rejected(self, monkeypatch, spec):
         sampled = []
         monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
-        pairs = [(preset_spec("theta-high"), 2), (spec, 3)]
+        triples = [(preset_spec("theta-high"), 10, 2), (spec, 10, 3)]
         message = f"^spec must be a DisorderSpec, got {spec!r}$"
         with pytest.raises(InvalidParameterError, match=message):
-            run_ensembles(pairs, SYM, 10, 1)
+            run_ensembles(triples, SYM, 1)
         assert sampled == []
 
     def test_initial_that_is_not_initial_state_params_rejected(self, monkeypatch):
@@ -542,14 +619,17 @@ class TestRunEnsembles:
         assert sampled == []
 
     @pytest.mark.parametrize(
-        "pair", [("theta-high",), ("theta-high", 2, 3), 5], ids=["1-tuple", "3-tuple", "int"]
+        "triple",
+        [("theta-high",), ("theta-high", 2), ("theta-high", 10, 2, 3), 5],
+        ids=["1-tuple", "2-tuple", "4-tuple", "int"],
     )
-    def test_ensemble_that_is_not_a_pair_rejected(self, monkeypatch, pair):
+    def test_ensemble_that_is_not_a_triple_rejected(self, monkeypatch, triple):
         sampled = []
         monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
-        pairs = [(preset_spec("theta-high"), 2), pair]
-        with pytest.raises(InvalidParameterError, match="must be a \\(spec, realizations\\) pair"):
-            run_ensembles(pairs, SYM, 10, 1)
+        triples = [(preset_spec("theta-high"), 10, 2), triple]
+        message = "must be a \\(spec, steps, realizations\\) triple"
+        with pytest.raises(InvalidParameterError, match=message):
+            run_ensembles(triples, SYM, 1)
         assert sampled == []
 
     @pytest.mark.parametrize("track", ["no", 1, None], ids=["string", "int", "none"])
@@ -558,14 +638,14 @@ class TestRunEnsembles:
         monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
         message = f"^track_per_step must be a bool, got {track!r}$"
         with pytest.raises(InvalidParameterError, match=message):
-            run_ensembles([(preset_spec("theta-high"), 2)], SYM, 10, 1, track)
+            run_ensembles([(preset_spec("theta-high"), 10, 2)], SYM, 1, track)
         assert sampled == []
 
     def test_no_ensembles_rejected(self, monkeypatch):
         sampled = []
         monkeypatch.setattr(analysis, "sample_schedule", lambda *args: sampled.append(args))
         with pytest.raises(InvalidParameterError, match="at least one ensemble"):
-            run_ensembles([], SYM, 10, 1)
+            run_ensembles([], SYM, 1)
         assert sampled == []
 
 
@@ -616,8 +696,8 @@ class TestTrackingBlocks:
         monkeypatch.setattr(analysis, "_CHUNK_BYTES", 12000)
         assert analysis._chunk_size(width) == 3
         assert analysis._block_steps(3, steps) == 4
-        pairs = [(preset_spec(name), count) for name, count in TestRunEnsembles.PAIRS]
-        for stats, (spec, realizations) in zip(run_ensembles(pairs, SYM, steps, 9, True), pairs):
+        triples = TestRunEnsembles.triples(steps)
+        for stats, (spec, _, realizations) in zip(run_ensembles(triples, SYM, 9, True), triples):
             assert_same_ensemble(stats, reference_ensemble(spec, steps, realizations, 9, True))
 
     @pytest.mark.parametrize("scale, block", [(1, 10), (4, 40)], ids=["module", "4x"])
@@ -630,10 +710,12 @@ class TestTrackingBlocks:
         # the largest even block whose light cones fit the budget
         assert analysis._block_steps(4, steps) == block
         assert block * cone_bytes <= budget < (block + 2) * cone_bytes
-        pairs = [(preset_spec("theta-high"), 1)]
-        pairs += [(ordered_spec(theta), 1) for theta in (math.pi / 6, math.pi / 4, math.pi / 3)]
-        untracked = traced_peak(lambda: run_ensembles(pairs, SYM, steps, 1))
-        tracked = traced_peak(lambda: run_ensembles(pairs, SYM, steps, 1, True))
+        triples = [(preset_spec("theta-high"), steps, 1)]
+        triples += [
+            (ordered_spec(theta), steps, 1) for theta in (math.pi / 6, math.pi / 4, math.pi / 3)
+        ]
+        untracked = traced_peak(lambda: run_ensembles(triples, SYM, 1))
+        tracked = traced_peak(lambda: run_ensembles(triples, SYM, 1, True))
         # the block's distributions take at most half as much again, and the
-        # per-step variances one row per walk and per pair
+        # per-step variances one row per walk and per triple
         assert tracked - untracked <= budget * 3 // 2 + 8 * 8 * (steps + 1)

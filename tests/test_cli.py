@@ -373,41 +373,58 @@ class TestRecipes:
 
 
 def count_walks(monkeypatch):
-    """Record every batch of walks the CLI starts, one list of pairs per ``run_ensembles`` call."""
-    batches = []
+    """Record every batch the CLI starts and every walk it runs.
+
+    ``batches`` holds one list of ``(spec, steps, realizations)`` triples per
+    ``run_ensembles`` call, and ``walks`` one ``(spec, steps, realization)``
+    per ``sample_schedule`` call, which ``run_ensembles`` makes once per walk.
+    """
+    batches, walks = [], []
 
     def counted(ensembles, *args, _real=cli.run_ensembles, **kwargs):
         batches.append(list(ensembles))
         return _real(ensembles, *args, **kwargs)
 
+    def sampled(spec, steps, master_seed, r, _real=analysis.sample_schedule):
+        walks.append((spec, steps, r))
+        return _real(spec, steps, master_seed, r)
+
     monkeypatch.setattr(cli, "run_ensembles", counted)
-    return batches
+    monkeypatch.setattr(analysis, "sample_schedule", sampled)
+    return batches, walks
 
 
 class TestWalkCounts:
+    # the ids give the distinct (spec, steps, realizations) triples; fig3's
+    # 6 triples at t = 100, 200 and 400 share one Hadamard walk and the two
+    # theta-high walks, which each run to 400
     @pytest.mark.parametrize(
-        "recipe, expected, calls",
-        [("fig1", 1, 1), ("fig2", 4, 1), ("fig3", 6, 3), ("fig4", 4, 1)],
+        "recipe, expected, walk_count",
+        [("fig1", 1, 2), ("fig2", 4, 7), ("fig3", 6, 3), ("fig4", 4, 5)],
         ids=["fig1-1", "fig2-4", "fig3-6", "fig4-4"],
     )
     def test_recipe_reuses_its_ordered_panels_as_reference(
-        self, tmp_path, monkeypatch, recipe, expected, calls
+        self, tmp_path, monkeypatch, recipe, expected, walk_count
     ):
-        batches = count_walks(monkeypatch)
+        batches, walks = count_walks(monkeypatch)
         assert main(["--recipe", recipe, "--realizations", "2", "--out", str(tmp_path)]) == 0
         assert sum(map(len, batches)) == expected
-        # one batch per walk length
-        assert len(batches) == calls
+        # one batch per recipe, whatever its lengths
+        assert len(batches) == 1
+        assert len(walks) == walk_count
+        # each walk runs to the longest length the recipe reads it at
+        assert {steps for _, steps, _ in walks} == {max(steps for _, steps, _ in batches[0])}
 
     @pytest.mark.parametrize("preset, expected", [("hadamard-ordered", 1), ("theta-high", 2)])
     def test_plain_run_adds_the_reference_walk_only_when_disordered(
         self, tmp_path, monkeypatch, preset, expected
     ):
-        batches = count_walks(monkeypatch)
+        batches, walks = count_walks(monkeypatch)
         args = ["--preset", preset, "--steps", "20", "--out", str(tmp_path / "run.csv")]
         assert main(args) == 0
         assert sum(map(len, batches)) == expected
         assert len(batches) == 1
+        assert len(walks) == expected
 
 
 class TestReproducibility:

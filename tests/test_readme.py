@@ -24,6 +24,7 @@ def test_library_quick_start_prints_finite_numbers():
     )
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    # one line per print call: the two variances, then the ensemble pair
-    assert [len(line.split()) for line in lines] == [1, 1, 2]
+    # one line per print call: the two variances, the ensemble pair, then
+    # the two lengths of one batch
+    assert [len(line.split()) for line in lines] == [1, 1, 2, 2]
     assert all(math.isfinite(float(value)) for line in lines for value in line.split())
