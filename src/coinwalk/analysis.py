@@ -227,11 +227,18 @@ def spreading_exponent(series: list[tuple[float, float]]) -> float:
 
     Parameters
     ----------
-    series : list of (t, variance)
-        At least 3 tuples, lists or arrays of two real (not bool) numbers,
-        with finite t >= 1 and finite variance > 0, at no fewer than 2
-        distinct t.
+    series : sequence of (t, variance)
+        A list, tuple or array of at least 3 tuples, lists or arrays of two
+        real (not bool) numbers, with finite t >= 1 and finite variance > 0,
+        at no fewer than 2 distinct t.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``series`` or one of its points is not such a sequence.
     """
+    if not isinstance(series, (Sequence, np.ndarray)):
+        raise InvalidParameterError(f"series must be a sequence of points, got {series!r}")
     if len(series) < 3:
         raise InvalidParameterError(f"need at least 3 points, got {len(series)}")
     for point in series:
@@ -344,16 +351,17 @@ def run_ensembles(
     lattice |x| <= steps.  So a triple given twice runs its walks once, and
     an ordered spec evolves one walk that stands for all of each triple's
     realizations.  The walks are evolved together in chunks of
-    ``_CHUNK_BYTES``, a chunk may hold walks of several triples, and each
-    triple's statistics still accumulate one realization at a time in index
-    order.  Per-step tracking (``track_per_step``) needs every triple to
-    have one length.
+    ``_CHUNK_BYTES``; a chunk may hold walks of several triples but only
+    consecutive walks with one end, the longest length each serves, so no
+    walk steps past it.  Each triple's statistics still accumulate one
+    realization at a time in index order.  Per-step tracking
+    (``track_per_step``) needs every triple to have one length.
 
     Raises
     ------
     InvalidParameterError
-        If ``ensembles`` is empty or holds an item that is not a ``(spec,
-        steps, realizations)`` triple, a ``spec`` is not a
+        If ``ensembles`` is not a sequence, is empty or holds an item that
+        is not a ``(spec, steps, realizations)`` triple, a ``spec`` is not a
         :class:`DisorderSpec`, ``initial`` is not an
         :class:`InitialStateParams`, a ``steps`` or ``realizations`` is not
         an integer, a ``realizations`` < 1, a ``steps`` < 0,
@@ -367,6 +375,8 @@ def run_ensembles(
         raise InvalidParameterError(f"initial must be an InitialStateParams, got {initial!r}")
     if not isinstance(track_per_step, (bool, np.bool_)):
         raise InvalidParameterError(f"track_per_step must be a bool, got {track_per_step!r}")
+    if not isinstance(ensembles, Sequence):
+        raise InvalidParameterError(f"ensembles must be a sequence, got {ensembles!r}")
     triples = []
     for triple in ensembles:
         if not isinstance(triple, Sequence) or len(triple) != 3:
@@ -401,7 +411,6 @@ def run_ensembles(
     final_variances = [np.empty(realizations, dtype=np.float64) for *_, realizations in triples]
     per_steps = [np.zeros(steps + 1, dtype=np.float64) if track_per_step else None for _ in triples]
 
-    walks = iter(serves.items())
     chunk = min(_chunk_size(width), len(serves))
     start = build_initial_state(initial, t_max=steps).amplitudes
     # The states reduced, after every step t = 0 .. steps when tracking and
@@ -431,53 +440,50 @@ def run_ensembles(
             np.add(rows[:, :, 0], rows[:, :, 1], out=p_block[first:m:2, :n, cone])
         return p_block[:m, :n]
 
-    while batch := list(itertools.islice(walks, chunk)):
-        n = len(batch)
-        # the chunk's walks step together, to the longest length one serves
-        end = max(max(served) for _, served in batch)
-        params = np.stack(
-            [sample_schedule(spec, end, master_seed, r) for (spec, r), _ in batch], axis=1
-        )
-        coins = coin_matrices(params.reshape(-1, 3)).reshape(end, n, 2, 2)
-        amps = np.broadcast_to(start, (n, 2, width))
-        observed = {length for _, served in batch for length in served}
-        states = itertools.chain(
-            [(0, {steps % 2: amps[..., steps % 2 :: 2]})], _walk_steps(amps, coins, 0)
-        )
-        held = 0
-        for t, halves in states:
-            if not (track_per_step or t in observed):
-                continue
-            if not held:
-                # a chunk's first block follows the previous chunk's wider
-                # cones, and a lone state may follow one of the other parity
-                if t == 0 or not track_per_step:
-                    p_block.fill(0.0)
-                last = min(t + block - 1, steps)
-                cones = cone_buf[: (last - t + 1) * n * 2 * (last + 1)]
-                cones = cones.reshape(last - t + 1, n, 2, last + 1)
-            # the block's widest cone of this parity starts at lattice
-            # column steps - u, half-lattice index (steps - u) // 2
-            u = last - (last - t) % 2
-            j = (steps - u) // 2
-            np.copyto(cones[held, :, :, : u + 1], halves[(steps + t) % 2][..., j : j + u + 1])
-            held += 1
-            if t == last:
-                # a lone state after t steps is read over the lattice |x| <= t;
-                # only tracking reads step_variances
-                crop = slice(None) if track_per_step else slice(steps - t, steps + t + 1)
-                p = reduce(cones, last)[..., crop]
-                variances = _moments(p, positions[crop], positions_squared[crop])[1]
-                step_variances[:n, last - held + 1 : last + 1] = variances.T
-                held = 0
-                for j, ((_, r), served) in enumerate(batch):
-                    for e, c in served.get(t, ()):
-                        _check_total(p[-1, j])
-                        final_variances[e][r : r + c] = variances[-1, j]
-                        for _ in range(c):
-                            mean_ps[e] += p[-1, j]
-                            if track_per_step:
-                                per_steps[e] += step_variances[j]
+    # a chunk holds consecutive walks with one end, the longest length each
+    # serves; the walks keep their order, in which each triple meets its own
+    for end, group in itertools.groupby(serves.items(), key=lambda walk: max(walk[1])):
+        while batch := list(itertools.islice(group, chunk)):
+            n = len(batch)
+            params = np.stack(
+                [sample_schedule(spec, end, master_seed, r) for (spec, r), _ in batch], axis=1
+            )
+            coins = coin_matrices(params.reshape(-1, 3)).reshape(end, n, 2, 2)
+            observed = {length for _, served in batch for length in served}
+            held = 0
+            for t, half in _walk_steps(np.broadcast_to(start, (n, 2, width)), coins, 0):
+                if not (track_per_step or t in observed):
+                    continue
+                if not held:
+                    # a chunk's first block follows the previous chunk's wider
+                    # cones, and a lone state may follow one of the other parity
+                    if t == 0 or not track_per_step:
+                        p_block.fill(0.0)
+                    last = min(t + block - 1, steps)
+                    cones = cone_buf[: (last - t + 1) * n * 2 * (last + 1)]
+                    cones = cones.reshape(last - t + 1, n, 2, last + 1)
+                # the block's widest cone of this parity starts at lattice
+                # column steps - u, half-lattice index (steps - u) // 2
+                u = last - (last - t) % 2
+                j = (steps - u) // 2
+                np.copyto(cones[held, :, :, : u + 1], half[..., j : j + u + 1])
+                held += 1
+                if t == last:
+                    # a lone state after t steps is read over the lattice |x| <= t;
+                    # only tracking reads step_variances
+                    crop = slice(None) if track_per_step else slice(steps - t, steps + t + 1)
+                    p = reduce(cones, last)[..., crop]
+                    variances = _moments(p, positions[crop], positions_squared[crop])[1]
+                    step_variances[:n, last - held + 1 : last + 1] = variances.T
+                    held = 0
+                    for j, ((_, r), served) in enumerate(batch):
+                        for e, c in served.get(t, ()):
+                            _check_total(p[-1, j])
+                            final_variances[e][r : r + c] = variances[-1, j]
+                            for _ in range(c):
+                                mean_ps[e] += p[-1, j]
+                                if track_per_step:
+                                    per_steps[e] += step_variances[j]
 
     results = []
     for (_, length, realizations), mean_p, variances, per_step in zip(

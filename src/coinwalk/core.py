@@ -263,8 +263,11 @@ def build_initial_state(params: InitialStateParams, t_max: int) -> WalkState:
     Raises
     ------
     InvalidParameterError
-        If ``t_max`` is negative or not an integer.
+        If ``params`` is not an :class:`InitialStateParams`, or ``t_max`` is
+        negative or not an integer.
     """
+    if not isinstance(params, InitialStateParams):
+        raise InvalidParameterError(f"params must be an InitialStateParams, got {params!r}")
     t_max = exact_count("t_max", t_max)
     amps = np.zeros((2, 2 * t_max + 1), dtype=np.complex128)
     half = params.delta / 2.0
@@ -296,25 +299,25 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     then moves the whole post-coin |0> row from x to x-1 and the |1> row
     from x to x+1; amplitude shifted past the lattice edge is dropped and
     the vacated edge cell is zeroed.  Walks in a batch are independent:
-    walk ``i`` uses ``coins[:, i]``.  ``amps`` is read before the first step
-    and never written.
+    walk ``i`` uses ``coins[:, i]``.  ``amps`` is read before the first
+    yield and never written.
 
     This is the package's only step loop.  Its callers, :func:`evolve` and
     ``analysis.run_ensembles``, check its arguments: the lattice must hold
     every requested step, so a walk started inside the light cone never
-    reaches the edge.  A step moves every amplitude from a column of one
-    parity to columns of the other, so the even and the odd columns of the
-    input are two walks that never meet.  Each one that holds amplitude (a
-    "class") is stepped on its own, on half the lattice, and a class that
-    holds none costs nothing: a walk from one site multiplies half the
-    columns.  A class lives in two zero-padded buffers, one per parity,
-    which hold sublattice index j (lattice column 2j + parity) in buffer
-    column j + 1 + parity.  A product over indices [lo, hi) of either parity
-    is written through a view of the other buffer whose row 1 starts one
-    column later than row 0, so it lands already shifted: even to odd moves
-    row 0 from j to j - 1 and keeps row 1 at j, odd to even keeps row 0 at j
-    and moves row 1 to j + 1.  The occupied columns [first, last] of the
-    input are found once, and step k multiplies the indices of columns
+    reaches the edge.  They also meet its one precondition: all of the
+    batch's amplitude lies on the parity of its first occupied column (an
+    all-zero batch counts as one walk on parity 0), as it does after any
+    number of steps from one site.  A step moves every amplitude from a
+    column of one parity to columns of the other, so the walks are stepped
+    on half the lattice.  They live in two zero-padded buffers, one per
+    parity, which hold sublattice index j (lattice column 2j + parity) in
+    buffer column j + 1 + parity.  A product over indices [lo, hi) of either
+    parity is written through a view of the other buffer whose row 1 starts
+    one column later than row 0, so it lands already shifted: even to odd
+    moves row 0 from j to j - 1 and keeps row 1 at j, odd to even keeps row
+    0 at j and moves row 1 to j + 1.  The occupied columns [first, last] of
+    the input are found once, and step k multiplies the indices of columns
     [first - k + 1, last + k - 1] only, widened outward to whole quanta of
     ``_WINDOW_QUANTUM`` indices; outside them every amplitude is exactly
     zero.  The amplitudes equal those of the full-lattice zgemm product
@@ -363,21 +366,19 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     Yields
     ------
     tuple
-        ``(t, halves)`` after the step that reaches count t.  ``halves``
-        maps each lattice parity y that holds amplitude to the (..., 2,
-        t_max + 1 - y) view of the kernel buffer holding that half lattice,
-        whose index j is lattice column 2j + y.  Parities missing from
-        ``halves`` are zero.  The views are the kernel's own buffers, valid
-        until the generator is advanced: read them, do not keep or modify
-        them.
+        ``(t, half)`` for the start state at t = ``steps_taken``, then
+        after the step that reaches each count t.  ``half`` is the (..., 2,
+        t_max + 1 - y) view of the kernel buffer holding the lattice parity
+        y that the walks occupy after t steps, whose index j is lattice
+        column 2j + y; the other parity is zero.  The views are the
+        kernel's own buffers, valid until the generator is advanced: read
+        them, do not keep or modify them.
     """
     width = amps.shape[-1]
     t_max = width // 2
     occupied = np.flatnonzero((amps != 0).any(axis=tuple(range(amps.ndim - 1))))
-    # an all-zero batch stays zero, and any window computes that
-    first, last = (int(occupied[0]), int(occupied[-1])) if occupied.size else (t_max, t_max)
-    odd = int(np.count_nonzero(occupied % 2))
-    classes = [c for c, count in ((0, occupied.size - odd), (1, odd)) if count]
+    # an all-zero batch stays zero on parity 0, and any window computes that
+    first, last = (int(occupied[0]), int(occupied[-1])) if occupied.size else (0, 0)
     # Lattice column c sits in buffer column (c + 1) // 2 + 1 of its parity's
     # buffer, so parity x holds its t_max + 1 - x indices in columns [1 + x,
     # t_max + 2), and columns from t_max + 2 on lie past the right edge.
@@ -385,37 +386,26 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     # column takes what lands from the last one.
     size = -(-(t_max + 1) // 4) * 4
     row = size + 2
-    # buffers[s][i] holds class classes[i] after a number of steps of parity
-    # s, on lattice parity (classes[i] + s) % 2.  Each walk's buffer is one
-    # flat run of cells, seen as two rows of `row` columns and as two
-    # "landing" rows of row + 1 columns that start one column in: a product
-    # written there has row 1 one column later than row 0.
-    store = np.zeros((2, len(classes)) + amps.shape[:-2] + (2 * row + 3,), np.complex128)
+    # buffers[s] holds the walks after a number of steps of parity s, on
+    # lattice parity (first + s) % 2.  Each walk's buffer is one flat run of
+    # cells, seen as two rows of `row` columns and as two "landing" rows of
+    # row + 1 columns that start one column in: a product written there has
+    # row 1 one column later than row 0.
+    store = np.zeros((2,) + amps.shape[:-2] + (2 * row + 3,), np.complex128)
     buffers = store[..., : 2 * row].reshape(store.shape[:-1] + (2, row))
     landings = store[..., 1 : 2 * row + 3].reshape(store.shape[:-1] + (2, row + 1))[..., :size]
+    halves = [buffers[s][..., 1 + (first + s) % 2 : t_max + 2] for s in (0, 1)]
     # Step 1 reads the input from buffers[0], which is cleared after it:
     # later landings never write the vacated edge cell, so an input value
     # there would survive.
-    for loaded, c in zip(buffers[0], classes):
-        loaded[..., 1 + c : t_max + 2] = amps[..., c::2]
+    halves[0][...] = amps[..., first % 2 :: 2]
+    yield steps_taken, halves[0]
     # (iii): from the step that reads the last lattice column on, its row 1
     # lands in the first column past the right edge, which a later window
     # may read.  Row 0 of column 0 lands in column 1 of an odd-parity buffer,
     # which holds no index, so no step reads it.
     leave_from = width - last
     pasts = [target[..., t_max + 2 :] for target in buffers]
-
-    # On steps k = s mod 2 class c is read from parity (c + s + 1) % 2, whose
-    # index j sits in buffer column j + 1 + that parity, and lands on the
-    # other parity.
-    reads = [[(1 + (c + s + 1) % 2, source, landing)
-              for c, source, landing in zip(classes, buffers[1 - s], landings[s])]
-             for s in (0, 1)]
-    halves = [
-        {(c + s) % 2: target[..., 1 + (c + s) % 2 : t_max + 2]
-         for c, target in zip(classes, buffers[s])}
-        for s in (0, 1)
-    ]
 
     renew = 1
     for k, coin in enumerate(coins, start=1):
@@ -433,17 +423,16 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
             renew = min(
                 first + 2 - 2 * lo if lo else never, 2 * hi - last + 1 if hi <= t_max else never
             )
+            # On steps k = s mod 2 the walks are read from buffers[1 - s], of
+            # lattice parity (first + s + 1) % 2, whose index j sits in buffer
+            # column j + 1 + that parity, and land in buffers[s].
             views = [
-                (
-                    [(source[..., lo + shift : hi + shift], landing[..., lo:hi])
-                     for shift, source, landing in reads[s]],
-                    buffers[s][..., lo + 1 : hi + 2],
-                )
-                for s in (0, 1)
+                (buffers[1 - s][..., lo + shift : hi + shift], landings[s][..., lo:hi],
+                 buffers[s][..., lo + 1 : hi + 2])
+                for s, shift in ((0, 1 + (first + 1) % 2), (1, 1 + first % 2))
             ]
-        products, result = views[k % 2]
-        for source, landing in products:
-            np.matmul(coin, source, out=landing)
+        source, landing, result = views[k % 2]
+        np.matmul(coin, source, out=landing)
         if k == 1:
             buffers[0].fill(0)
         if k >= leave_from:
@@ -457,11 +446,15 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
 def evolve(state: WalkState, coins) -> WalkState:
     """Apply one walk step per coin matrix, ``coins[0]`` first.
 
-    Runs the package's step loop, :func:`_walk_steps`, on a copy of the
-    state.  Every argument is checked before the first step.  Called one
-    coin at a time it gives every intermediate state, with the amplitudes
-    and the |a|^2 bytes of one continuous walk.  With no coins it returns a
-    copy.
+    Runs the package's step loop, :func:`_walk_steps`, on the state's
+    amplitudes, which it only reads, and writes the result into a new
+    zeroed state.  Every argument is checked before the first step.  A
+    step moves every amplitude to a column of the other parity, so the even
+    and the odd columns of a state are two walks that never meet: a state
+    that holds amplitude on both is stepped as two walks, and a state from
+    one site, at any step, is one walk.  Called one coin at a time it gives
+    every intermediate state, with the amplitudes and the |a|^2 bytes of
+    one continuous walk.  With no coins it returns a copy.
 
     Parameters
     ----------
@@ -482,11 +475,15 @@ def evolve(state: WalkState, coins) -> WalkState:
     CapacityError
         If the lattice cannot absorb that many further steps.
     InvalidParameterError
-        If ``coins`` is not a (steps, 2, 2) array that passes
-        :func:`complex_array`, or a field of ``state`` fails the checks of
-        a new ``WalkState``.
+        If ``state`` is not a :class:`WalkState`, ``coins`` is not a
+        (steps, 2, 2) array that passes :func:`complex_array`, or a field
+        of ``state`` fails the checks of a new ``WalkState``.
     """
-    out = state.copy()
+    if not isinstance(state, WalkState):
+        raise InvalidParameterError(f"state must be a WalkState, got {state!r}")
+    # checks the fields as a new state's, and shares the amplitudes, which
+    # are only read: the result is written into a zeroed array
+    out = WalkState(state.t_max, state.amplitudes, state.steps_taken)
     coins = complex_array("coins", coins)
     if coins.shape[1:] != (2, 2):
         raise InvalidParameterError(f"coins must have shape (steps, 2, 2), got {coins.shape}")
@@ -496,11 +493,13 @@ def evolve(state: WalkState, coins) -> WalkState:
             f"{len(coins)} more steps would exceed t_max={out.t_max} "
             f"(state already at {out.steps_taken} steps)"
         )
-    # the generator reads the amplitudes only before its first step
-    for t, halves in _walk_steps(out.amplitudes, coins, out.steps_taken):
-        if t == end:
-            for y in (0, 1):
-                out.amplitudes[..., y::2] = halves.get(y, 0)
+    amps, out.amplitudes = out.amplitudes, np.zeros_like(out.amplitudes)
+    walks = [y for y in (0, 1) if amps[:, y::2].any()] or [0]
+    for y in walks:
+        walk = amps if len(walks) == 1 else np.where(np.arange(amps.shape[-1]) % 2 == y, amps, 0)
+        for t, half in _walk_steps(walk, coins, out.steps_taken):
+            if t == end:
+                out.amplitudes[:, (y + len(coins)) % 2 :: 2] = half
     out.steps_taken = end
     return out
 

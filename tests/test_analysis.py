@@ -343,6 +343,11 @@ class TestSpreadingExponent:
         with pytest.raises(InvalidParameterError, match=r"must be a \(t, variance\) pair"):
             spreading_exponent(series)
 
+    @pytest.mark.parametrize("series", [5, None], ids=["number", "none"])
+    def test_series_that_is_not_a_sequence_rejected(self, series):
+        with pytest.raises(InvalidParameterError, match="series must be a sequence"):
+            spreading_exponent(series)
+
 
 class TestSymmetryDeviation:
     def test_point_mass_is_symmetric(self):
@@ -552,10 +557,11 @@ class TestRunEnsembles:
             preset_spec, ("theta-high", "hadamard-ordered", "full-range", "theta-low")
         )
         # 5 theta-high walks, one ordered walk, 2 full-range and 2 theta-low
-        # walks, in one chunk that steps to the longest length, 31
+        # walks, each stepped to the longest length it serves, in chunks of
+        # consecutive walks with one such length
         assert sampled == [
-            (theta_high, 31, 0), (theta_high, 31, 1), (theta_high, 31, 2), (ordered, 31, 0),
-            (theta_high, 31, 3), (theta_high, 31, 4), (full, 31, 0), (full, 31, 1),
+            (theta_high, 30, 0), (theta_high, 30, 1), (theta_high, 30, 2), (ordered, 30, 0),
+            (theta_high, 30, 3), (theta_high, 30, 4), (full, 8, 0), (full, 0, 1),
             (low, 31, 0), (low, 31, 1),
         ]
 
@@ -647,6 +653,11 @@ class TestRunEnsembles:
         with pytest.raises(InvalidParameterError, match="at least one ensemble"):
             run_ensembles([], SYM, 1)
         assert sampled == []
+
+    @pytest.mark.parametrize("ensembles", [None, 5], ids=["none", "number"])
+    def test_ensembles_that_are_not_a_sequence_rejected(self, ensembles):
+        with pytest.raises(InvalidParameterError, match="ensembles must be a sequence"):
+            run_ensembles(ensembles, SYM, 1)
 
 
 def traced_peak(run) -> int:

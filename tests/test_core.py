@@ -289,6 +289,11 @@ class TestInitialState:
         with pytest.raises(InvalidParameterError, match="t_max must be an integer"):
             build_initial_state(InitialStateParams(), t_max)
 
+    @pytest.mark.parametrize("params", [None], ids=["none"])
+    def test_params_that_are_not_initial_state_params_rejected(self, params):
+        with pytest.raises(InvalidParameterError, match="params must be an InitialStateParams"):
+            build_initial_state(params, 2)
+
     def test_numpy_integer_t_max_accepted(self):
         state = build_initial_state(InitialStateParams(), np.int64(3))
         assert type(state.t_max) is int
@@ -418,6 +423,37 @@ class TestEvolve:
             evolve(initial, coin_matrices(np.zeros((4, 3))))
         assert same_bits(initial.amplitudes, before)
 
+    @pytest.mark.parametrize("state", [None], ids=["none"])
+    def test_state_that_is_not_a_walk_state_rejected(self, state):
+        with pytest.raises(InvalidParameterError, match="state must be a WalkState"):
+            evolve(state, coin_matrices(np.zeros((2, 3))))
+
+    def test_each_occupied_parity_is_one_walk(self, monkeypatch):
+        walks = []
+
+        def counted(amps, coins, steps_taken, _real=core._walk_steps):
+            walks.append(steps_taken)
+            return _real(amps, coins, steps_taken)
+
+        monkeypatch.setattr(core, "_walk_steps", counted)
+        rng = np.random.default_rng(7)
+        t_max = 20
+        coins = random_unitaries(rng, (12,))
+        # a state from one site is one walk, at its start and after steps
+        evolve(evolve(symmetric_state(t_max), coins[:3]), coins[3:])
+        assert walks == [0, 3]
+        amps = random_amplitudes(rng, (2, 2 * t_max + 1))
+        both = evolve(WalkState(t_max, amps, 5), coins[:9])
+        assert walks == [0, 3, 5, 5]
+        # the even and the odd columns stepped alone, then combined
+        parts = []
+        for y in (0, 1):
+            part = amps.copy()
+            part[:, 1 - y :: 2] = 0
+            parts.append(evolve(WalkState(t_max, part, 5), coins[:9]).amplitudes)
+        assert len(walks) == 6
+        assert same_values(both.amplitudes, parts[0] + parts[1])
+
     def test_coin_shape_rejected(self):
         identity = np.eye(2)[None]
         for bad in (
@@ -514,18 +550,19 @@ class TestEvolveInPlace:
         start = np.zeros((2, 41), dtype=np.complex128)
         start[:, origin] = symmetric_state(0).amplitudes[:, 0]
         amps = np.broadcast_to(start, (3, 2, 41))
-        coins = random_unitaries(rng, (20, 3))
+        coins = random_unitaries(rng, (15, 3))
         expected = amps.copy()
         seen = []
-        for t, halves in core._walk_steps(amps, coins, 0):
-            expected = reference_walks(expected, coins[t - 1 : t])
-            parity = (origin + t) % 2
-            assert list(halves) == [parity]
-            assert halves[parity].shape == (3, 2, 21 - parity)
-            assert same_values(halves[parity], expected[..., parity::2])
+        for t, half in core._walk_steps(amps, coins, 5):
+            if seen:
+                expected = reference_walks(expected, coins[t - 6 : t - 5])
+            parity = (origin + t - 5) % 2
+            assert half.shape == (3, 2, 21 - parity)
+            assert same_values(half, expected[..., parity::2])
             assert not np.any(expected[..., 1 - parity :: 2])
             seen.append(t)
-        assert seen == list(range(1, 21))
+        # the start state first, at t = steps_taken, then every step
+        assert seen == list(range(5, 21))
 
 
 def reference_walks(amps: np.ndarray, coins: np.ndarray) -> np.ndarray:
