@@ -317,14 +317,16 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     one column later than row 0, so it lands already shifted: even to odd
     moves row 0 from j to j - 1 and keeps row 1 at j, odd to even keeps row
     0 at j and moves row 1 to j + 1.  The occupied columns [first, last] of
-    the input are found once, and step k multiplies the indices of columns
-    [first - k + 1, last + k - 1] only, widened outward to whole quanta of
-    ``_WINDOW_QUANTUM`` indices; outside them every amplitude is exactly
-    zero.  The amplitudes equal those of the full-lattice zgemm product
-    zero-padded to whole blocks of 4 columns, so they do not depend on the
-    lattice width or on where the walk sits inside a longer one.  Two rules
-    keep this (checked with numpy 2.4.6 and OpenBLAS 0.3.31; the kernel
-    tests pin (i)):
+    the input are found, and found again after every flush (below); step k
+    multiplies only the indices of the columns the light cone from the
+    last support found can reach, [first - k + 1, last + k - 1] for the
+    input's, widened outward to whole quanta of ``_WINDOW_QUANTUM``
+    indices; outside them every amplitude is exactly zero.  The amplitudes
+    equal those of the full-lattice zgemm product zero-padded to whole
+    blocks of 4 columns, so they do not depend on the lattice width or on
+    where the walk sits inside a longer one.  Three rules keep this
+    (checked with numpy 2.4.6 and OpenBLAS 0.3.31; the kernel tests pin (i)
+    and (iv)):
 
     (i) a column inside whole blocks of 4 gets the bits the full product
         gives it wherever the block starts, so every window starts on a
@@ -333,14 +335,27 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
         lands past the right edge, where a later window would read it, so
         from the first step that can move amplitude there on, the buffer
         columns past the edge are zeroed after each step.  Row 0 of the
-        first column lands in a buffer column no step reads.
+        first column lands in a buffer column no step reads;
+    (iv) when no coin of the batch has a non-zero imaginary part, a
+        contiguous copy of the coins' real parts multiplies float64 views
+        of the buffers, each amplitude a real and an imaginary column, on
+        dgemm at half zgemm's arithmetic.  On whole blocks of 4 amplitudes
+        that gives zgemm's bytes, zero signs included: zgemm rounds like
+        two real products joined by one add, and with imaginary parts of
+        +-0 the second product adds only zeros.  A batch that mixes real
+        and complex coins stays on zgemm.
 
     After every step whose count ``steps_taken + k`` is a multiple of
     ``_FLUSH_PERIOD``, each real or imaginary part of the landed window
     below the smallest normal float64 (about 2.2e-308) is set to +0.0
     before the next step reads it.  Such subnormal parts fill the
     exponentially small tails of long walks and make every multiply that
-    touches them many times slower; each squares to exactly 0.
+    touches them many times slower; each squares to exactly 0.  The flush
+    then finds the occupied columns of the landed state, and the windows
+    grow from them.  When a flushed tail was the edge of the support they
+    narrow, and the other parity's buffer, which holds the state two steps
+    back, is cleared first: the narrower windows would no longer overwrite
+    all of it before a later, wider one reads it.
 
     The amplitudes equal those of the padded product except at the
     flushed parts and beside them, by less than 1e-306 (worst seen 8e-307;
@@ -376,9 +391,16 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     """
     width = amps.shape[-1]
     t_max = width // 2
-    occupied = np.flatnonzero((amps != 0).any(axis=tuple(range(amps.ndim - 1))))
+    rows = tuple(range(amps.ndim - 1))  # every axis but the columns
+    occupied = np.flatnonzero((amps != 0).any(axis=rows))
     # an all-zero batch stays zero on parity 0, and any window computes that
     first, last = (int(occupied[0]), int(occupied[-1])) if occupied.size else (0, 0)
+    # step k reads a state that is zero outside lattice columns [left - k,
+    # right + k]; each flush moves them to the support it leaves
+    left, right = first + 1, last - 1
+    if not coins.imag.any():
+        # (iv): the copy is contiguous, so each step is one dgemm call
+        coins = np.ascontiguousarray(coins.real)
     # Lattice column c sits in buffer column (c + 1) // 2 + 1 of its parity's
     # buffer, so parity x holds its t_max + 1 - x indices in columns [1 + x,
     # t_max + 2), and columns from t_max + 2 on lie past the right edge.
@@ -410,25 +432,26 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     renew = 1
     for k, coin in enumerate(coins, start=1):
         if k == renew:
-            # Step k reads a state that is zero outside lattice columns [first
-            # - k + 1, last + k - 1], which have indices [a // 2, b // 2] on
-            # either parity.  The window widens those to whole quanta, so it
-            # changes only when they cross a quantum boundary, and its views
-            # are rebuilt only then.
-            a = max(first - k + 1, 0)
-            b = min(last + k - 1, width - 1)
+            # Step k reads a state whose lattice columns [a, b] have indices
+            # [a // 2, b // 2] on either parity.  The window widens those to
+            # whole quanta, so it changes only when they cross a quantum
+            # boundary or a flush moves [left, right], and its views are
+            # rebuilt only then.
+            a = max(left - k, 0)
+            b = min(right + k, width - 1)
             lo = a // 2 // _WINDOW_QUANTUM * _WINDOW_QUANTUM
             hi = min(-(-(b // 2 + 1) // _WINDOW_QUANTUM) * _WINDOW_QUANTUM, size)
             never = len(coins) + 1
             renew = min(
-                first + 2 - 2 * lo if lo else never, 2 * hi - last + 1 if hi <= t_max else never
+                left + 1 - 2 * lo if lo else never, 2 * hi - right if hi <= t_max else never
             )
             # On steps k = s mod 2 the walks are read from buffers[1 - s], of
             # lattice parity (first + s + 1) % 2, whose index j sits in buffer
-            # column j + 1 + that parity, and land in buffers[s].
+            # column j + 1 + that parity, and land in buffers[s].  Real coins
+            # see both as float64, each amplitude its real and imaginary part.
             views = [
-                (buffers[1 - s][..., lo + shift : hi + shift], landings[s][..., lo:hi],
-                 buffers[s][..., lo + 1 : hi + 2])
+                (buffers[1 - s][..., lo + shift : hi + shift].view(coins.dtype),
+                 landings[s][..., lo:hi].view(coins.dtype), buffers[s][..., lo + 1 : hi + 2])
                 for s, shift in ((0, 1 + (first + 1) % 2), (1, 1 + first % 2))
             ]
         source, landing, result = views[k % 2]
@@ -440,6 +463,15 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
         if (steps_taken + k) % _FLUSH_PERIOD == 0:
             parts = result.view(np.float64)
             np.copyto(parts, 0.0, where=np.abs(parts) < np.finfo(np.float64).tiny)
+            occupied = np.flatnonzero(halves[k % 2].any(axis=rows))
+            if occupied.size:
+                # index j of the landed half is lattice column 2j + (first + k) % 2
+                start, end = (2 * occupied[[0, -1]] + (first + k) % 2).tolist()
+                if (start + k + 1, end - k - 1) != (left, right):
+                    # the support narrowed: clear the state two steps back,
+                    # which the next window no longer overwrites everywhere
+                    buffers[1 - k % 2].fill(0)
+                left, right, renew = start + k + 1, end - k - 1, k + 1
         yield steps_taken + k, halves[k % 2]
 
 
@@ -455,6 +487,13 @@ def evolve(state: WalkState, coins) -> WalkState:
     one site, at any step, is one walk.  Called one coin at a time it gives
     every intermediate state, with the amplitudes and the |a|^2 bytes of
     one continuous walk.  With no coins it returns a copy.
+
+    The lattice edges are open, and only the step count is checked: a
+    walk from one site never reaches an edge within ``t_max`` steps, but
+    amplitude that a hand-built state holds nearer an edge than its steps
+    to go, and that a step moves past that edge, is dropped without an
+    error.  ``WalkState(3, a, 0)`` with ``a[:, 0] = (1, 1)/sqrt(2)`` and
+    zeros elsewhere has norm about 1e-16 after one Hadamard step.
 
     Parameters
     ----------
@@ -473,7 +512,7 @@ def evolve(state: WalkState, coins) -> WalkState:
     Raises
     ------
     CapacityError
-        If the lattice cannot absorb that many further steps.
+        If ``state.steps_taken + len(coins)`` exceeds ``state.t_max``.
     InvalidParameterError
         If ``state`` is not a :class:`WalkState`, ``coins`` is not a
         (steps, 2, 2) array that passes :func:`complex_array`, or a field

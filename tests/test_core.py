@@ -403,6 +403,13 @@ class TestEvolve:
         assert state.steps_taken == 300
         assert subnormals > 0 or start == "random"
 
+    def test_amplitude_stepped_past_an_edge_is_dropped(self):
+        # the lattice edges are open: only the step count is checked
+        amps = np.zeros((2, 7), dtype=np.complex128)
+        amps[:, 0] = 1 / math.sqrt(2)
+        state = evolve(WalkState(3, amps), coin_matrices([(0.0, QUARTER_PI, 0.0)]))
+        assert state.norm() < 1e-15
+
     def test_input_state_is_not_mutated(self):
         initial = symmetric_state(6)
         before = initial.amplitudes.copy()
@@ -708,6 +715,85 @@ class TestParitySublattice:
         check_every_step(start, random_unitaries(rng, (t_max, 2)))
 
 
+def real_orthogonal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Random real 2x2 orthogonal coins (QR of real Gaussians), as complex128."""
+    q, _ = np.linalg.qr(rng.normal(size=shape + (2, 2)))
+    return q.astype(np.complex128)
+
+
+def matmul_spy(monkeypatch) -> list[tuple[np.dtype, np.dtype, int]]:
+    """Record every ``np.matmul`` call from now on: both operand dtypes and the columns of amplitudes.
+
+    A float64 operand holds each amplitude as two columns, its real and its
+    imaginary part.
+    """
+    calls = []
+
+    def spy(a, b, *args, _matmul=np.matmul, **kwargs):
+        calls.append((a.dtype, b.dtype, b.shape[-1] * b.itemsize // 16))
+        return _matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return calls
+
+
+def final_half(amps: np.ndarray, coins: np.ndarray) -> np.ndarray:
+    """A copy of the last half lattice ``core._walk_steps`` yields."""
+    for _, half in core._walk_steps(amps, coins, 0):
+        pass
+    return half.copy()
+
+
+class TestRealCoins:
+    """Coins with no non-zero imaginary part step on dgemm, with zgemm's bits.
+
+    The kernel then multiplies the real coins with float64 views of its
+    buffers, each amplitude a real and an imaginary column
+    (``TestRealCoinColumnBits`` pins why the bits are zgemm's).
+    """
+
+    @pytest.mark.parametrize("quantum", [4, core._WINDOW_QUANTUM])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("kind", ["hadamard", "coin-family", "orthogonal"])
+    def test_real_coins_match_the_reference(self, monkeypatch, quantum, batch, kind):
+        monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
+        rng = np.random.default_rng(len(batch))
+        t_max, steps = 60, 50
+        shape = (steps,) + batch
+        if kind == "hadamard":
+            coins = np.broadcast_to(coin_matrices([(0.0, QUARTER_PI, 0.0)])[0], shape + (2, 2))
+        elif kind == "coin-family":
+            # xi = zeta = 0 with any theta: the phases are exactly 1 + 0j
+            angles = np.zeros(shape + (3,))
+            angles[..., 1] = rng.uniform(-10.0, 10.0, shape)
+            coins = coin_matrices(angles.reshape(-1, 3)).reshape(shape + (2, 2))
+        else:
+            coins = real_orthogonal(rng, shape)  # a coin per step and per walk
+        assert not coins.imag.any()
+        # a band on both parities, after earlier steps
+        start = np.zeros(batch + (2, 2 * t_max + 1), dtype=np.complex128)
+        start[..., t_max - 4 : t_max + 5] = random_amplitudes(rng, batch + (2, 9))
+        check_every_step(start, coins, steps_taken=3)
+
+    def test_real_batches_step_on_float64_and_others_on_complex128(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        t_max, steps = 40, 30
+        start = np.zeros((2, 2, 2 * t_max + 1), dtype=np.complex128)
+        start[..., t_max] = symmetric_state(0).amplitudes[:, 0]
+        real = real_orthogonal(rng, (steps, 2))
+        mixed = real.copy()
+        mixed[:, 1] = random_unitaries(rng, (steps,))
+        calls = matmul_spy(monkeypatch)
+        for coins, dtype in [(real, np.float64), (random_unitaries(rng, (steps, 2)), np.complex128),
+                             (mixed, np.complex128)]:
+            calls.clear()
+            final_half(start, coins)
+            assert [call[:2] for call in calls] == [(dtype, dtype)] * steps
+        # the real walk gets the same bits from dgemm alone as from zgemm
+        # beside a complex one, whose light cone is the same
+        assert same_bits(final_half(start[:1], real[:, :1]), final_half(start, mixed)[:1])
+
+
 class TestZgemmColumnBits:
     """The fact about zgemm's rounding that the kernel's layout relies on.
 
@@ -735,6 +821,84 @@ class TestZgemmColumnBits:
             buffer[..., pad : pad + n] = amps[..., j0 : j0 + n]
             window = coin @ buffer[..., pad : pad + n]
             assert same_bits(window, full[..., j0 : j0 + n].copy()), (width, j0, n)
+
+
+class TestRealCoinColumnBits:
+    """The fact about dgemm's rounding that the kernel's real coins rely on.
+
+    A real coin, held as complex128 with imaginary parts of +0 or -0, gives
+    ``np.matmul`` on the float64 view of the amplitudes, each amplitude a
+    real and an imaginary column, the bytes of the complex product, zero
+    signs included, on windows whole blocks of 4 amplitudes wide.  This
+    held with numpy 2.4.6 on OpenBLAS 0.3.31 on its SkylakeX, Haswell,
+    SandyBridge and Prescott kernels (``TestRealCoinColumnBitsOnOtherKernels``
+    checks the last three).  Widths that are not a multiple of 4 can differ
+    in the sign of a zero, and at width 1 in values; the kernel never
+    multiplies such widths.
+    """
+
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_float64_view_gives_the_complex_products_bytes(self, batch):
+        rng = np.random.default_rng(12)
+        tiny = np.finfo(np.float64).tiny
+        for _ in range(300):
+            n = 4 * int(rng.integers(1, 80))
+            coin = rng.normal(size=batch + (2, 2)) + 0j
+            coin.imag = np.where(rng.random(coin.shape) < 0.5, 0.0, -0.0)
+            coin.real[rng.random(coin.shape) < 0.1] = -0.0
+            # +0, -0 and subnormal parts among the amplitudes' parts
+            parts = rng.normal(size=batch + (2, 2 * n))
+            pick = rng.random(parts.shape)
+            parts[pick < 0.3] = rng.normal(size=parts.shape)[pick < 0.3] * tiny / 4
+            parts[(pick >= 0.3) & (pick < 0.4)] = 0.0
+            parts[(pick >= 0.4) & (pick < 0.5)] = -0.0
+            # the window sits at any offset of a zero-padded buffer
+            pad = int(rng.integers(0, 4))
+            buffer = np.zeros(batch + (2, n + 4), dtype=np.complex128)
+            window = buffer[..., pad : pad + n]
+            window.view(np.float64)[...] = parts
+            real = np.matmul(np.ascontiguousarray(coin.real), window.view(np.float64))
+            assert real.tobytes() == (coin @ window).tobytes(), (n, pad)
+
+
+#: ``OPENBLAS_CORETYPE`` values the real-coin fact is checked under, with the
+#: names ``OPENBLAS_VERBOSE=2`` reports for each: x86-64 builds alias the
+#: Katmai kernels to Prescott's and report the first name.
+OTHER_BLAS_CORES = {
+    "Haswell": ("Haswell",),
+    "SandyBridge": ("Sandybridge",),
+    "Prescott": ("Prescott", "Katmai"),
+}
+
+
+class TestRealCoinColumnBitsOnOtherKernels:
+    """``TestRealCoinColumnBits`` in a fresh process on each of three other OpenBLAS kernels.
+
+    The real-coin path adds no dependence on which kernel the CPU gets: the
+    pinned digests already depend on zgemm's.  A numpy whose BLAS does not
+    report the requested core skips, with the reason.
+    """
+
+    @pytest.mark.parametrize("coretype", OTHER_BLAS_CORES)
+    def test_real_coin_column_bits(self, coretype):
+        paths = [str(Path(core.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+            "OPENBLAS_CORETYPE": coretype,
+            "OPENBLAS_VERBOSE": "2",
+        }
+        # -s: OpenBLAS reports its core on stderr as numpy loads it
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+             f"{__file__}::TestRealCoinColumnBits"],
+            capture_output=True, text=True, env=env, check=False, cwd=Path(__file__).parent,
+        )
+        cores = [line.split(":", 1)[1].strip() for line in result.stderr.splitlines()
+                 if line.startswith("Core:")]
+        if not cores or cores[0] not in OTHER_BLAS_CORES[coretype]:
+            pytest.skip(f"OPENBLAS_CORETYPE={coretype} was not taken up (reported cores: {cores})")
+        assert result.returncode == 0, result.stdout + result.stderr
 
 
 class TestVecdotRowBits:
@@ -836,6 +1000,40 @@ class TestSubnormalFlush:
         )
         coins = coin_matrices(angles.reshape(-1, 3)).reshape(shape + (2, 2))
         self.check_against_reference(self.start(batch), coins)
+
+
+class TestFlushRecrop:
+    """After each flush the kernel's window grows from the support the flush left.
+
+    Near-swap coins leave tails that flush to zero, so the support narrows
+    inside the light cone.  Every state must match the same kernel with a
+    window quantum as wide as the lattice, which crops nothing, and some
+    window must be narrower than the one before it, which only the re-crop
+    gives.
+    """
+
+    STEPS = 300
+
+    @pytest.mark.parametrize("quantum", [4, core._WINDOW_QUANTUM])
+    @pytest.mark.parametrize("phase", [0.0, 0.3], ids=["real", "complex"])
+    @pytest.mark.parametrize("walks", [[2], [1, 2]], ids=["1e-6", "batch"])
+    def test_every_state_matches_an_uncropped_kernel(self, monkeypatch, quantum, phase, walks):
+        coin = coin_matrices([(phase, NEAR_SWAP_THETAS[i], phase) for i in walks])
+        batch = () if len(walks) == 1 else (len(walks),)
+        coins = np.broadcast_to(coin.reshape(batch + (2, 2)), (self.STEPS,) + batch + (2, 2))
+        start = np.zeros(batch + (2, 2 * self.STEPS + 1), dtype=np.complex128)
+        start[..., self.STEPS] = symmetric_state(0).amplitudes[:, 0]
+        with monkeypatch.context() as uncropped:
+            uncropped.setattr(core, "_WINDOW_QUANTUM", start.shape[-1])
+            expected = [a for _, a in walk_states(start, coins)]
+        assert sum(subnormal_parts(a) for a in expected) > 0, "no tail to flush"
+        monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
+        calls = matmul_spy(monkeypatch)
+        for t, a in walk_states(start, coins):
+            assert same_values(a, expected[t - 1]), t
+        columns = [n for _, _, n in calls]
+        assert any(b < a for a, b in zip(columns, columns[1:])), "no window narrowed"
+        assert same_values(evolved_walks(start, coins), expected[-1])
 
 
 # ---------------------------------------------------------------------------
