@@ -20,10 +20,12 @@ from coinwalk.core import (
     InitialStateParams,
     WalkState,
     build_initial_state,
+    checked_state,
     coin_matrices,
     _walk_steps,
     exact_count,
     exact_int,
+    instance_of,
     real_array,
 )
 from coinwalk.disorder import ORDERED, DisorderSpec, sample_schedule
@@ -145,11 +147,15 @@ def distribution_from_state(state: WalkState) -> PositionDistribution:
 
     Raises
     ------
+    InvalidParameterError
+        If ``state`` is not a :class:`WalkState`, or one of its fields fails
+        the checks of a new ``WalkState`` (a state's fields may have been
+        reassigned since it was made).
     NormDriftError
         If total probability deviates from 1 by more than ``NORM_DRIFT_LIMIT``
         or is not finite.
     """
-    a = state.amplitudes
+    a = checked_state(state).amplitudes
     p = (a.real * a.real + a.imag * a.imag).sum(axis=0)
     _check_total(p)
     return PositionDistribution(t=state.steps_taken, p=p)
@@ -159,8 +165,13 @@ def variance(dist: PositionDistribution) -> float:
     """Central second moment of the distribution, in lattice sites squared.
 
     Clipped at zero to absorb rounding when all mass sits on one site.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``dist`` is not a :class:`PositionDistribution`.
     """
-    x = dist.positions.astype(np.float64)
+    x = instance_of("dist", dist, PositionDistribution).positions.astype(np.float64)
     return float(_moments(dist.p, x, x * x)[1])
 
 
@@ -260,13 +271,26 @@ def spreading_exponent(series: list[tuple[float, float]]) -> float:
 
 
 def symmetry_deviation(dist: PositionDistribution) -> float:
-    """Largest deviation from mirror symmetry, max over x of |p(x) - p(-x)|."""
-    return float(np.max(np.abs(dist.p - dist.p[::-1])))
+    """Largest deviation from mirror symmetry, max over x of |p(x) - p(-x)|.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``dist`` is not a :class:`PositionDistribution`.
+    """
+    p = instance_of("dist", dist, PositionDistribution).p
+    return float(np.max(np.abs(p - p[::-1])))
 
 
 def metrics_from_distribution(dist: PositionDistribution) -> RunMetrics:
-    """Bundle the standard summary statistics of one distribution."""
-    x = dist.positions.astype(np.float64)
+    """Bundle the standard summary statistics of one distribution.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``dist`` is not a :class:`PositionDistribution`.
+    """
+    x = instance_of("dist", dist, PositionDistribution).positions.astype(np.float64)
     mean, var = map(float, _moments(dist.p, x, x * x))
     return RunMetrics(
         variance=var,
@@ -313,8 +337,9 @@ def run_ensemble(
     memory budget, but every statistic accumulates one realization at a
     time in index order, so the output is a pure function of the arguments
     and does not depend on the chunk size.  An ordered ``spec`` gives the
-    same walk in every realization, so that walk is evolved once and
-    reduced once per realization.  With ``track_per_step`` the
+    same walk in every realization, so that walk is evolved and reduced
+    once, and its distribution is added to the mean once per realization.
+    With ``track_per_step`` the
     ensemble-mean variance is recorded after every step: each state's light
     cone is copied from the kernel's half-lattice buffers, and a block of
     states at a time is squared and reduced, one ``np.vecdot`` per moment
@@ -385,8 +410,7 @@ def run_ensembles(
             )
         spec, steps, realizations = triple
         steps, realizations = exact_count("steps", steps), exact_int("realizations", realizations)
-        if not isinstance(spec, DisorderSpec):
-            raise InvalidParameterError(f"spec must be a DisorderSpec, got {spec!r}")
+        instance_of("spec", spec, DisorderSpec)
         if realizations < 1:
             raise InvalidParameterError(f"realizations must be >= 1, got {realizations}")
         triples.append((spec, steps, realizations))

@@ -3,9 +3,10 @@
 One walk step applies a 2x2 unitary coin operation to the walker's internal
 state at every site, then shifts the coin-|0> component one site to the left
 and the coin-|1> component one site to the right.  States live on the finite
-lattice x in {-t_max, ..., +t_max}; the lattice must be wide enough to hold
-the light cone of the requested number of steps, and stepping past that
-width raises instead of wrapping around.
+lattice x in {-t_max, ..., +t_max}; the light cone of the occupied sites
+must fit the lattice for the requested number of steps, and an evolution
+that would move amplitude past an edge raises instead of wrapping around or
+dropping it.
 """
 
 from __future__ import annotations
@@ -79,6 +80,19 @@ def exact_count(name: str, value) -> int:
     if out < 0:
         raise InvalidParameterError(f"{name} must be >= 0, got {out}")
     return out
+
+
+def instance_of(name: str, value, cls: type):
+    """Return ``value`` if it is an instance of ``cls``, else raise.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``value`` is not a ``cls``, ``None`` included.
+    """
+    if not isinstance(value, cls):
+        raise InvalidParameterError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 def real_array(name: str, value) -> np.ndarray:
@@ -297,46 +311,44 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
 
     A step mixes the two internal components at every site with the coin,
     then moves the whole post-coin |0> row from x to x-1 and the |1> row
-    from x to x+1; amplitude shifted past the lattice edge is dropped and
-    the vacated edge cell is zeroed.  Walks in a batch are independent:
-    walk ``i`` uses ``coins[:, i]``.  ``amps`` is read before the first
-    yield and never written.
+    from x to x+1.  Walks in a batch are independent: walk ``i`` uses
+    ``coins[:, i]``.  ``amps`` is read before the first yield and never
+    written.
 
     This is the package's only step loop.  Its callers, :func:`evolve` and
-    ``analysis.run_ensembles``, check its arguments: the lattice must hold
-    every requested step, so a walk started inside the light cone never
-    reaches the edge.  They also meet its one precondition: all of the
-    batch's amplitude lies on the parity of its first occupied column (an
-    all-zero batch counts as one walk on parity 0), as it does after any
-    number of steps from one site.  A step moves every amplitude from a
-    column of one parity to columns of the other, so the walks are stepped
-    on half the lattice.  They live in two zero-padded buffers, one per
-    parity, which hold sublattice index j (lattice column 2j + parity) in
-    buffer column j + 1 + parity.  A product over indices [lo, hi) of either
-    parity is written through a view of the other buffer whose row 1 starts
-    one column later than row 0, so it lands already shifted: even to odd
-    moves row 0 from j to j - 1 and keeps row 1 at j, odd to even keeps row
-    0 at j and moves row 1 to j + 1.  The occupied columns [first, last] of
-    the input are found, and found again after every flush (below); step k
-    multiplies only the indices of the columns the light cone from the
-    last support found can reach, [first - k + 1, last + k - 1] for the
-    input's, widened outward to whole quanta of ``_WINDOW_QUANTUM``
-    indices; outside them every amplitude is exactly zero.  The amplitudes
-    equal those of the full-lattice zgemm product zero-padded to whole
-    blocks of 4 columns, so they do not depend on the lattice width or on
-    where the walk sits inside a longer one.  Three rules keep this
-    (checked with numpy 2.4.6 and OpenBLAS 0.3.31; the kernel tests pin (i)
-    and (iv)):
+    ``analysis.run_ensembles``, check its arguments and meet its two
+    preconditions.  The light cone of the occupied columns fits the
+    lattice: every occupied column lies at least ``len(coins)`` columns
+    from either edge, so no step moves amplitude past one.  :func:`evolve`
+    checks this, and ``run_ensembles`` meets it by construction, since its
+    walks start at the origin of a lattice of half-width ``steps``.  And
+    all of the batch's amplitude lies on the parity of its first occupied
+    column (an all-zero batch counts as one walk on parity 0), as it does
+    after any number of steps from one site.
+
+    A step moves every amplitude from a column of one parity to columns of
+    the other, so the walks are stepped on half the lattice.  They live in
+    two zero-padded buffers, one per parity, which hold sublattice index j
+    (lattice column 2j + parity) in buffer column j + 1 + parity.  A product
+    over indices [lo, hi) of either parity is written through a view of the
+    other buffer whose row 1 starts one column later than row 0, so it lands
+    already shifted: even to odd moves row 0 from j to j - 1 and keeps row 1
+    at j, odd to even keeps row 0 at j and moves row 1 to j + 1.  The
+    occupied columns [first, last] of the input are found, and found again
+    after every flush (below); step k multiplies only the indices of the
+    columns the light cone from the last support found can reach,
+    [first - k + 1, last + k - 1] for the input's, widened outward to whole
+    quanta of ``_WINDOW_QUANTUM`` indices; outside them every amplitude is
+    exactly zero.  The amplitudes equal those of the full-lattice zgemm product
+    zero-padded to whole blocks of 4 columns, so they do not depend on the
+    lattice width or on where the walk sits inside a longer one.  Two rules
+    keep this (checked with numpy 2.4.6 and OpenBLAS 0.3.31; the kernel
+    tests pin both):
 
     (i) a column inside whole blocks of 4 gets the bits the full product
         gives it wherever the block starts, so every window starts on a
         multiple of 4 and is whole blocks long;
-    (iii) amplitude must still leave the lattice: row 1 of the last column
-        lands past the right edge, where a later window would read it, so
-        from the first step that can move amplitude there on, the buffer
-        columns past the edge are zeroed after each step.  Row 0 of the
-        first column lands in a buffer column no step reads;
-    (iv) when no coin of the batch has a non-zero imaginary part, a
+    (ii) when no coin of the batch has a non-zero imaginary part, a
         contiguous copy of the coins' real parts multiplies float64 views
         of the buffers, each amplitude a real and an imaginary column, on
         dgemm at half zgemm's arithmetic.  On whole blocks of 4 amplitudes
@@ -389,17 +401,17 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
         kernel's own buffers, valid until the generator is advanced: read
         them, do not keep or modify them.
     """
-    width = amps.shape[-1]
-    t_max = width // 2
+    t_max = amps.shape[-1] // 2
     rows = tuple(range(amps.ndim - 1))  # every axis but the columns
     occupied = np.flatnonzero((amps != 0).any(axis=rows))
-    # an all-zero batch stays zero on parity 0, and any window computes that
-    first, last = (int(occupied[0]), int(occupied[-1])) if occupied.size else (0, 0)
+    # an all-zero batch stays zero on parity 0, and any window inside the
+    # lattice computes that; its light cone from the middle even column fits
+    first, last = (int(occupied[0]), int(occupied[-1])) if occupied.size else (t_max // 2 * 2,) * 2
     # step k reads a state that is zero outside lattice columns [left - k,
     # right + k]; each flush moves them to the support it leaves
     left, right = first + 1, last - 1
     if not coins.imag.any():
-        # (iv): the copy is contiguous, so each step is one dgemm call
+        # (ii): the copy is contiguous, so each step is one dgemm call
         coins = np.ascontiguousarray(coins.real)
     # Lattice column c sits in buffer column (c + 1) // 2 + 1 of its parity's
     # buffer, so parity x holds its t_max + 1 - x indices in columns [1 + x,
@@ -422,29 +434,20 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     # there would survive.
     halves[0][...] = amps[..., first % 2 :: 2]
     yield steps_taken, halves[0]
-    # (iii): from the step that reads the last lattice column on, its row 1
-    # lands in the first column past the right edge, which a later window
-    # may read.  Row 0 of column 0 lands in column 1 of an odd-parity buffer,
-    # which holds no index, so no step reads it.
-    leave_from = width - last
-    pasts = [target[..., t_max + 2 :] for target in buffers]
 
     renew = 1
     for k, coin in enumerate(coins, start=1):
         if k == renew:
-            # Step k reads a state whose lattice columns [a, b] have indices
-            # [a // 2, b // 2] on either parity.  The window widens those to
-            # whole quanta, so it changes only when they cross a quantum
-            # boundary or a flush moves [left, right], and its views are
-            # rebuilt only then.
-            a = max(left - k, 0)
-            b = min(right + k, width - 1)
-            lo = a // 2 // _WINDOW_QUANTUM * _WINDOW_QUANTUM
-            hi = min(-(-(b // 2 + 1) // _WINDOW_QUANTUM) * _WINDOW_QUANTUM, size)
-            never = len(coins) + 1
-            renew = min(
-                left + 1 - 2 * lo if lo else never, 2 * hi - right if hi <= t_max else never
-            )
+            # Lattice columns [left - k, right + k], read by step k, have
+            # indices [(left - k) // 2, (right + k) // 2] on either parity.
+            # The window widens those to whole quanta, so it changes only when
+            # they cross a quantum boundary or a flush moves [left, right], and
+            # its views are rebuilt only then.  The light cone fits the
+            # lattice, so a window that reaches index 0 or past the last index
+            # is not renewed on that side before the last step.
+            lo = (left - k) // 2 // _WINDOW_QUANTUM * _WINDOW_QUANTUM
+            hi = min(-(-((right + k) // 2 + 1) // _WINDOW_QUANTUM) * _WINDOW_QUANTUM, size)
+            renew = min(left + 1 - 2 * lo, 2 * hi - right)
             # On steps k = s mod 2 the walks are read from buffers[1 - s], of
             # lattice parity (first + s + 1) % 2, whose index j sits in buffer
             # column j + 1 + that parity, and land in buffers[s].  Real coins
@@ -458,8 +461,6 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
         np.matmul(coin, source, out=landing)
         if k == 1:
             buffers[0].fill(0)
-        if k >= leave_from:
-            pasts[k % 2].fill(0)
         if (steps_taken + k) % _FLUSH_PERIOD == 0:
             parts = result.view(np.float64)
             np.copyto(parts, 0.0, where=np.abs(parts) < np.finfo(np.float64).tiny)
@@ -475,6 +476,22 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
         yield steps_taken + k, halves[k % 2]
 
 
+def checked_state(state: WalkState) -> WalkState:
+    """Return a new state that shares ``state``'s fields, checked as a new state's are.
+
+    A state is mutable, so its fields may have been reassigned since it was
+    made.  The amplitudes are shared, not copied.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``state`` is not a :class:`WalkState`, or one of its fields fails
+        the checks of a new ``WalkState``.
+    """
+    state = instance_of("state", state, WalkState)
+    return WalkState(state.t_max, state.amplitudes, state.steps_taken)
+
+
 def evolve(state: WalkState, coins) -> WalkState:
     """Apply one walk step per coin matrix, ``coins[0]`` first.
 
@@ -488,12 +505,12 @@ def evolve(state: WalkState, coins) -> WalkState:
     every intermediate state, with the amplitudes and the |a|^2 bytes of
     one continuous walk.  With no coins it returns a copy.
 
-    The lattice edges are open, and only the step count is checked: a
-    walk from one site never reaches an edge within ``t_max`` steps, but
-    amplitude that a hand-built state holds nearer an edge than its steps
-    to go, and that a step moves past that edge, is dropped without an
-    error.  ``WalkState(3, a, 0)`` with ``a[:, 0] = (1, 1)/sqrt(2)`` and
-    zeros elsewhere has norm about 1e-16 after one Hadamard step.
+    No amplitude leaves the lattice: a state that holds amplitude fewer
+    than ``len(coins)`` columns from either edge raises before any step,
+    as do more steps than ``t_max`` allows.  A walk from the origin passes
+    both checks for all of its ``t_max`` steps; a hand-built
+    ``WalkState(3, a, 0)`` with ``a[:, 0] = (1, 1)/sqrt(2)`` raises at one
+    step.
 
     Parameters
     ----------
@@ -512,17 +529,17 @@ def evolve(state: WalkState, coins) -> WalkState:
     Raises
     ------
     CapacityError
-        If ``state.steps_taken + len(coins)`` exceeds ``state.t_max``.
+        If ``state.steps_taken + len(coins)`` exceeds ``state.t_max``, or
+        an occupied column lies fewer than ``len(coins)`` columns from an
+        edge of the lattice.
     InvalidParameterError
         If ``state`` is not a :class:`WalkState`, ``coins`` is not a
         (steps, 2, 2) array that passes :func:`complex_array`, or a field
         of ``state`` fails the checks of a new ``WalkState``.
     """
-    if not isinstance(state, WalkState):
-        raise InvalidParameterError(f"state must be a WalkState, got {state!r}")
     # checks the fields as a new state's, and shares the amplitudes, which
     # are only read: the result is written into a zeroed array
-    out = WalkState(state.t_max, state.amplitudes, state.steps_taken)
+    out = checked_state(state)
     coins = complex_array("coins", coins)
     if coins.shape[1:] != (2, 2):
         raise InvalidParameterError(f"coins must have shape (steps, 2, 2), got {coins.shape}")
@@ -532,6 +549,9 @@ def evolve(state: WalkState, coins) -> WalkState:
             f"{len(coins)} more steps would exceed t_max={out.t_max} "
             f"(state already at {out.steps_taken} steps)"
         )
+    occupied = np.flatnonzero(out.amplitudes.any(axis=0))
+    if occupied.size and min(occupied[0], 2 * out.t_max - occupied[-1]) < len(coins):
+        raise CapacityError(f"{len(coins)} steps would move amplitude past a lattice edge")
     amps, out.amplitudes = out.amplitudes, np.zeros_like(out.amplitudes)
     walks = [y for y in (0, 1) if amps[:, y::2].any()] or [0]
     for y in walks:

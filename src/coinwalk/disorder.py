@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coinwalk.core import WalkState, coin_matrices, evolve, exact_count, exact_int, finite_real
+from coinwalk.core import (
+    WalkState, coin_matrices, evolve, exact_count, exact_int, finite_real, instance_of,
+)
 from coinwalk.errors import InvalidParameterError
 
 __all__ = [
@@ -91,9 +93,7 @@ class DisorderSpec:
 
     def __post_init__(self) -> None:
         for name in ("xi_range", "theta_range", "zeta_range"):
-            value = getattr(self, name)
-            if not isinstance(value, ParameterRange):
-                raise InvalidParameterError(f"{name} must be a ParameterRange, got {value!r}")
+            instance_of(name, getattr(self, name), ParameterRange)
 
     @property
     def mode(self) -> str:
@@ -190,8 +190,7 @@ def sample_schedule(
         ``realization_index`` is not an integer, or ``steps`` or
         ``realization_index`` is negative.
     """
-    if not isinstance(spec, DisorderSpec):
-        raise InvalidParameterError(f"spec must be a DisorderSpec, got {spec!r}")
+    instance_of("spec", spec, DisorderSpec)
     steps = exact_count("steps", steps)
     rng = np.random.default_rng(derive_stream_seed(master_seed, realization_index))
     u = rng.random((steps, 3))

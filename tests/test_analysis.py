@@ -105,9 +105,11 @@ class TestDistributionFromState:
 
     def test_nan_total_rejected(self):
         state = build_initial_state(SYM, 3)
-        # evolve and WalkState reject non-finite input, so the NaN is written in
+        # WalkState rejects non-finite input, so the NaN is written in; the
+        # state's fields are checked again, as evolve checks them, before a
+        # total is taken
         state.amplitudes[0, 3] = np.nan
-        with pytest.raises(NormDriftError):
+        with pytest.raises(InvalidParameterError, match="^amplitudes must be finite"):
             distribution_from_state(state)
 
     def test_distribution_validation(self):
@@ -368,6 +370,45 @@ class TestRunMetrics:
     def test_std_dev_squares_to_variance(self):
         m = metrics_from_distribution(ordered_distribution(QUARTER_PI, 60))
         assert m.std_dev**2 == pytest.approx(m.variance, rel=1e-9)
+
+
+def narrowed_state():
+    """A state of t_max 3 whose amplitudes were reassigned to a (2, 5) array."""
+    state = build_initial_state(SYM, 3)
+    state.amplitudes = np.zeros((2, 5), dtype=np.complex128)
+    return state
+
+
+class TestWrongArguments:
+    """The readers of a state or a distribution reject what is not one, as ``evolve`` does."""
+
+    @pytest.mark.parametrize(
+        "function, argument, message",
+        [
+            (distribution_from_state, lambda: None, "state must be a WalkState, got None"),
+            (distribution_from_state, lambda: np.ones((2, 3)), "state must be a WalkState"),
+            (distribution_from_state, lambda: classical_rw_distribution(2),
+             "state must be a WalkState"),
+            # not a misleading NormDriftError for a total of 0
+            (distribution_from_state, narrowed_state, r"amplitudes must have shape \(2, 7\)"),
+            (variance, lambda: None, "dist must be a PositionDistribution, got None"),
+            (variance, lambda: np.array([0.0, 1.0, 0.0]), "dist must be a PositionDistribution"),
+            (metrics_from_distribution, lambda: None, "dist must be a PositionDistribution"),
+            (metrics_from_distribution, lambda: np.array([0.0, 1.0, 0.0]),
+             "dist must be a PositionDistribution"),
+            (symmetry_deviation, lambda: None, "dist must be a PositionDistribution"),
+            (symmetry_deviation, lambda: build_initial_state(SYM, 1),
+             "dist must be a PositionDistribution"),
+        ],
+        ids=[
+            "distribution-none", "distribution-ndarray", "distribution-of-a-distribution",
+            "distribution-reassigned-amplitudes", "variance-none", "variance-ndarray",
+            "metrics-none", "metrics-ndarray", "symmetry-none", "symmetry-state",
+        ],
+    )
+    def test_rejected_with_invalid_parameter_error(self, function, argument, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}"):
+            function(argument())
 
 
 class TestRunEnsemble:

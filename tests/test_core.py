@@ -356,9 +356,12 @@ class TestEvolve:
         t_max = int(rng.integers(1, 40))
         taken = int(rng.integers(0, t_max))
         steps = int(rng.integers(0, t_max - taken + 1))
-        # amplitude everywhere, the two edge columns included
+        # amplitude on every column of a band, the two outer ones included,
+        # padded so that every step stays on the lattice
         amps = rng.normal(size=(2, 2 * t_max + 1)) + 1j * rng.normal(size=(2, 2 * t_max + 1))
         assert np.all(amps[:, [0, -1]] != 0)
+        amps = padded(amps, steps)
+        t_max = amps.shape[-1] // 2
         coins = coin_matrices(rng.uniform(-10.0, 10.0, (steps, 3)))
         expected = amps
         for coin in coins:
@@ -381,7 +384,9 @@ class TestEvolve:
             assert np.array_equal(state.amplitudes, expected)
 
     @pytest.mark.parametrize("start", ["origin", "random"])
-    @pytest.mark.parametrize("t_max", [300, 301])  # widths 601 and 603: 1 and 3 mod 4
+    # widths 601 and 603, and 1201 and 1203 with a random start's padding:
+    # 1 and 3 mod 4
+    @pytest.mark.parametrize("t_max", [300, 301])
     def test_one_coin_at_a_time_gives_the_continuous_walks_states(self, t_max, start):
         # near-swap coins leave subnormal tails behind a walk from the
         # origin, and 300 steps pass the flushes at steps 128 and 256
@@ -389,11 +394,11 @@ class TestEvolve:
         if start == "origin":
             amps = symmetric_state(t_max).amplitudes
         else:
-            amps = random_amplitudes(rng, (2, 2 * t_max + 1))
+            amps = padded(random_amplitudes(rng, (2, 2 * t_max + 1)), 300)
         thetas = rng.uniform(1.55, 1.5707, 300)
         coins = coin_matrices(np.stack([rng.uniform(0, HALF_PI, 300), thetas,
                                         rng.uniform(0, HALF_PI, 300)], axis=-1))
-        state = WalkState(t_max, amps)
+        state = WalkState(amps.shape[-1] // 2, amps)
         subnormals = 0
         for t, expected in walk_states(amps, coins):
             state = evolve(state, coins[t - 1 : t])
@@ -403,12 +408,19 @@ class TestEvolve:
         assert state.steps_taken == 300
         assert subnormals > 0 or start == "random"
 
-    def test_amplitude_stepped_past_an_edge_is_dropped(self):
-        # the lattice edges are open: only the step count is checked
+    def test_amplitude_a_step_would_move_past_an_edge_raises(self, monkeypatch):
+        # from column 1 one Hadamard step reaches column 0 and keeps the norm;
+        # from column 0 it would leave the lattice, so no step runs
+        hadamard = coin_matrices([(0.0, QUARTER_PI, 0.0)])
         amps = np.zeros((2, 7), dtype=np.complex128)
-        amps[:, 0] = 1 / math.sqrt(2)
-        state = evolve(WalkState(3, amps), coin_matrices([(0.0, QUARTER_PI, 0.0)]))
-        assert state.norm() < 1e-15
+        amps[:, 1] = 1 / math.sqrt(2)
+        assert evolve(WalkState(3, amps), hadamard).norm() == pytest.approx(1.0, abs=1e-15)
+        amps = np.roll(amps, -1, axis=1)
+        before = amps.copy()
+        monkeypatch.setattr(core, "_walk_steps", lambda *args: pytest.fail("a step ran"))
+        with pytest.raises(CapacityError, match="^1 steps would move amplitude past a lattice"):
+            evolve(WalkState(3, amps), hadamard)
+        assert same_bits(amps, before)
 
     def test_input_state_is_not_mutated(self):
         initial = symmetric_state(6)
@@ -449,7 +461,8 @@ class TestEvolve:
         # a state from one site is one walk, at its start and after steps
         evolve(evolve(symmetric_state(t_max), coins[:3]), coins[3:])
         assert walks == [0, 3]
-        amps = random_amplitudes(rng, (2, 2 * t_max + 1))
+        amps = padded(random_amplitudes(rng, (2, 2 * t_max + 1)), 9)
+        t_max = amps.shape[-1] // 2
         both = evolve(WalkState(t_max, amps, 5), coins[:9])
         assert walks == [0, 3, 5, 5]
         # the even and the odd columns stepped alone, then combined
@@ -504,8 +517,22 @@ class TestEvolve:
             evolve(state, coin_matrices(np.zeros((2, 3))))
 
 
+def padded(amps: np.ndarray, columns: int) -> np.ndarray:
+    """``amps`` between two runs of zero columns, each ``columns`` rounded up to even long.
+
+    Every column keeps its parity and the width its value mod 4.  Padded by
+    at least the steps to go, no amplitude lies nearer an edge than those
+    steps, as ``evolve`` requires.
+    """
+    pad = columns + columns % 2
+    return np.pad(amps, [(0, 0)] * (amps.ndim - 1) + [(pad, pad)])
+
+
 def random_amplitudes(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Amplitude on every site, the two edge columns included."""
+    """Amplitude on every column of ``shape``, the two outer ones included.
+
+    Stepping it needs room on either side: see :func:`padded`.
+    """
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     assert np.all(amps[..., [0, -1]] != 0)
     return amps
@@ -528,7 +555,7 @@ class TestEvolveInPlace:
         t_max = int(rng.integers(1, 30))
         taken = int(rng.integers(0, t_max))
         steps = int(rng.integers(0, t_max - taken + 1))
-        amps = random_amplitudes(rng, batch + (2, 2 * t_max + 1))
+        amps = padded(random_amplitudes(rng, batch + (2, 2 * t_max + 1)), steps)
         coins = random_unitaries(rng, (steps,) + batch)
         batched = amps
         for _, batched in walk_states(amps, coins, steps_taken=taken):
@@ -538,7 +565,7 @@ class TestEvolveInPlace:
     def test_every_state_of_every_walk_in_a_batch(self):
         rng = np.random.default_rng(9)
         t_max, steps = 12, 9
-        start = random_amplitudes(rng, (4, 2, 2 * t_max + 1))
+        start = padded(random_amplitudes(rng, (4, 2, 2 * t_max + 1)), steps)
         coins = random_unitaries(rng, (steps, 4))
         expected = start.copy()
         seen = []
@@ -618,11 +645,15 @@ class TestLightConeCrop:
     def test_support_on_one_edge_column(self, t_max, edge):
         # the last column of width 129 starts a quantum of 64, so a window
         # holding only the support would be that one column, and a
-        # one-column product goes through zgemv and rounds differently
+        # one-column product goes through zgemv and rounds differently.
+        # Padding by two quanta of columns on either side gives the steps
+        # room and moves every column by one quantum of indices, so each
+        # keeps its place in its quantum.
         rng = np.random.default_rng(t_max)
         start = np.zeros((2, 2 * t_max + 1), dtype=np.complex128)
         start[:, edge] = rng.normal(size=2) + 1j * rng.normal(size=2)
-        check_every_step(start, random_unitaries(rng, (t_max,)))
+        assert 2 * core._WINDOW_QUANTUM >= t_max
+        check_every_step(padded(start, 2 * core._WINDOW_QUANTUM), random_unitaries(rng, (t_max,)))
 
     def test_all_zero_amplitudes_stay_zero(self):
         amps = np.zeros((3, 2, 151), dtype=np.complex128)
@@ -664,9 +695,9 @@ class TestParitySublattice:
 
     Every case compares the kernel with a full-lattice ``reference_step``
     loop after every step, at several window quanta, on inputs that reach
-    what the half-lattice layout must handle: both parities at once, the
-    lattice edges, and widths of 3 mod 4, whose last columns fill only part
-    of a block of 4.
+    what the half-lattice layout must handle: both parities at once, light
+    cones that reach the lattice edges, and widths of 3 mod 4, whose last
+    columns fill only part of a block of 4.
     """
 
     @pytest.mark.parametrize("quantum", QUANTA)
@@ -675,7 +706,10 @@ class TestParitySublattice:
     def test_both_parities_in_a_batch_after_earlier_steps(
         self, monkeypatch, quantum, t_max, support
     ):
-        # "band" starts narrower than the lattice and still reaches both edges
+        # "band" starts narrower than the unpadded width.  The padding is the
+        # steps rounded up to even, so the light cone of "lattice" reaches
+        # both edges after 26 steps (t_max 30) and one column short of them
+        # after 27 (t_max 31).
         monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
         rng = np.random.default_rng(t_max)
         start = random_amplitudes(rng, (2, 3, 2, 2 * t_max + 1))
@@ -683,25 +717,41 @@ class TestParitySublattice:
             start[..., : t_max - 6] = 0
             start[..., t_max + 7 :] = 0
         coins = random_unitaries(rng, (t_max - 4, 2, 3))
-        check_every_step(start, coins, steps_taken=4)
+        check_every_step(padded(start, t_max - 4), coins, steps_taken=4)
 
     @pytest.mark.parametrize("quantum", QUANTA)
     @pytest.mark.parametrize("t_max", [40, 41])  # widths 81 and 83
     @pytest.mark.parametrize("edge", ["left", "right"])
-    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("parity", [0, 1, "both"])
     def test_amplitude_leaving_through_each_edge(self, monkeypatch, quantum, t_max, edge, parity):
+        # A band whose outer column lies as many columns from the edge as it
+        # has steps to go reaches that edge on the last step and keeps every
+        # amplitude; one column nearer, a step would move amplitude past the
+        # edge, so the walk raises before any step.
         monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
-        rng = np.random.default_rng([t_max, parity])
-        width = 2 * t_max + 1
-        # five columns of one parity against the edge
-        band = np.arange(width)[parity::2]
-        band = band[:5] if edge == "left" else band[-5:]
+        rng = np.random.default_rng([t_max, {0: 0, 1: 1, "both": 2}[parity]])
+        width, taken = 2 * t_max + 1, 3
+        # the outer column's lattice parity is that of the steps; a band on
+        # both parities is 9 adjacent columns, one on one parity 5 columns
+        steps = 30 + (parity == 1)
+        offsets = np.arange(0, 9, 1 if parity == "both" else 2)
+        band = steps + offsets if edge == "left" else width - 1 - steps - offsets
         start = np.zeros((3, 2, width), dtype=np.complex128)
-        start[..., band] = random_amplitudes(rng, (3, 2, 5))
-        coins = random_unitaries(rng, (t_max, 3))
-        kept = np.linalg.norm(reference_walks(start, coins)) / np.linalg.norm(start)
-        assert kept < 0.99, "no amplitude left the lattice"
-        check_every_step(start, coins)
+        start[..., band] = random_amplitudes(rng, (3, 2, len(band)))
+        coins = random_unitaries(rng, (steps, 3))
+        edge_column = reference_walks(start, coins)[..., 0 if edge == "left" else -1]
+        assert np.all(edge_column.any(axis=-1)), "a walk's light cone stops short of the edge"
+        check_every_step(start, coins, steps_taken=taken)
+
+        nearer = np.roll(start, -1 if edge == "left" else 1, axis=-1)
+        monkeypatch.setattr(core, "_walk_steps", lambda *args: pytest.fail("a step ran"))
+        for walk, walk_coins in zip(nearer, coins.swapaxes(0, 1)):
+            before = walk.copy()
+            state = WalkState(t_max, walk, taken)
+            with pytest.raises(CapacityError, match=f"^{steps} steps would move amplitude past"):
+                evolve(state, walk_coins)
+            assert same_bits(state.amplitudes, before)
+            assert (state.t_max, state.steps_taken) == (t_max, taken)
 
     @pytest.mark.parametrize("quantum", QUANTA)
     @pytest.mark.parametrize("t_max", [101, 103])  # widths 203 and 207: 3 mod 4

@@ -17,7 +17,8 @@ def walk_states(amplitudes: np.ndarray, coins, steps_taken: int = 0):
     a new array, and ``amplitudes`` is only read.  The arguments must be
     ones that the generator's callers check: complex128 amplitudes of shape
     (..., 2, 2*t_max + 1), coins of shape (steps, ..., 2, 2) and a lattice
-    that holds every step.
+    that holds every step, with no amplitude fewer than ``steps`` columns
+    from either edge.
     """
     coins = np.asarray(coins, dtype=np.complex128)
     parity = np.arange(amplitudes.shape[-1]) % 2
