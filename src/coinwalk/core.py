@@ -290,19 +290,12 @@ def build_initial_state(params: InitialStateParams, t_max: int) -> WalkState:
     return WalkState(t_max=t_max, amplitudes=amps, steps_taken=0)
 
 
-#: Sublattice columns by which the kernel's window grows; a multiple of 4.
-#: zgemm computes a product's columns in blocks of 4, and a column inside a
-#: whole block gets the same bits wherever the block starts, so a window
-#: that starts on a multiple of 4 and is whole blocks long gives each column
-#: the bits of the full-lattice product zero-padded to whole blocks of 4
-#: columns (see :func:`_walk_steps`).  32 and 64 timed the same on the
-#: 12,001-site walks and on 200-step ensembles of 401 sites.
-_WINDOW_QUANTUM = 64
-
-#: Steps between flushes of subnormal amplitude parts to +0.0 (see
-#: :func:`_walk_steps`).  Periods of 32 to 128 timed the same on the
-#: 12,001-site Hadamard walk (16 and 256 were slower); 128 flushes a 200-step
-#: ensemble once instead of three times, which measured about 2 % faster.
+#: Steps between flushes of subnormal amplitude parts to +0.0, and so between
+#: the changes of the kernel's window, which follows the support each flush
+#: finds (see :func:`_walk_steps`).  Periods of 32 to 128 timed the same on
+#: the 12,001-site Hadamard walk (16 and 256 were slower); 128 flushes a
+#: 200-step ensemble once instead of three times, which measured about 2 %
+#: faster.
 _FLUSH_PERIOD = 128
 
 
@@ -316,15 +309,16 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     written.
 
     This is the package's only step loop.  Its callers, :func:`evolve` and
-    ``analysis.run_ensembles``, check its arguments and meet its two
+    ``analysis.run_ensembles``, check its arguments and meet its three
     preconditions.  The light cone of the occupied columns fits the
     lattice: every occupied column lies at least ``len(coins)`` columns
     from either edge, so no step moves amplitude past one.  :func:`evolve`
     checks this, and ``run_ensembles`` meets it by construction, since its
-    walks start at the origin of a lattice of half-width ``steps``.  And
-    all of the batch's amplitude lies on the parity of its first occupied
-    column (an all-zero batch counts as one walk on parity 0), as it does
-    after any number of steps from one site.
+    walks start at the origin of a lattice of half-width ``steps``.  At
+    least one column is occupied: :func:`evolve` steps an all-zero state as
+    no walk, and a walk from the origin holds amplitude there.  And all of
+    the batch's amplitude lies on the parity of its first occupied column,
+    as it does after any number of steps from one site.
 
     A step moves every amplitude from a column of one parity to columns of
     the other, so the walks are stepped on half the lattice.  They live in
@@ -333,13 +327,16 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     over indices [lo, hi) of either parity is written through a view of the
     other buffer whose row 1 starts one column later than row 0, so it lands
     already shifted: even to odd moves row 0 from j to j - 1 and keeps row 1
-    at j, odd to even keeps row 0 at j and moves row 1 to j + 1.  The
-    occupied columns [first, last] of the input are found, and found again
-    after every flush (below); step k multiplies only the indices of the
-    columns the light cone from the last support found can reach,
-    [first - k + 1, last + k - 1] for the input's, widened outward to whole
-    quanta of ``_WINDOW_QUANTUM`` indices; outside them every amplitude is
-    exactly zero.  The amplitudes equal those of the full-lattice zgemm product
+    at j, odd to even keeps row 0 at j and moves row 1 to j + 1.  Only the
+    input's occupied columns [first, last] are loaded into the zeroed
+    buffers, and the support is found again after every flush (below).  The
+    window, the indices [lo, hi) that every step multiplies, is set before
+    step 1 and after each flush that finds a support, and kept until the
+    next flush step or the last step: it covers the columns that the light
+    cone from the support last found reaches by then, [first - s + 1,
+    last + s - 1] for the input's up to step s, widened outward to whole
+    blocks of 4 indices; outside it every amplitude is exactly zero.  The
+    amplitudes equal those of the full-lattice zgemm product
     zero-padded to whole blocks of 4 columns, so they do not depend on the
     lattice width or on where the walk sits inside a longer one.  Two rules
     keep this (checked with numpy 2.4.6 and OpenBLAS 0.3.31; the kernel
@@ -363,11 +360,12 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     before the next step reads it.  Such subnormal parts fill the
     exponentially small tails of long walks and make every multiply that
     touches them many times slower; each squares to exactly 0.  The flush
-    then finds the occupied columns of the landed state, and the windows
-    grow from them.  When a flushed tail was the edge of the support they
-    narrow, and the other parity's buffer, which holds the state two steps
-    back, is cleared first: the narrower windows would no longer overwrite
-    all of it before a later, wider one reads it.
+    then finds the occupied columns of the landed state, and the next window
+    grows from them, narrower than the last where a flushed tail was the
+    edge of the support.  So the other parity's buffer, which holds the
+    state two steps back and takes the next step's landing, is cleared at
+    every flush that finds a support: the next window need not overwrite
+    all of it.
 
     The amplitudes equal those of the padded product except at the
     flushed parts and beside them, by less than 1e-306 (worst seen 8e-307;
@@ -404,9 +402,7 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     t_max = amps.shape[-1] // 2
     rows = tuple(range(amps.ndim - 1))  # every axis but the columns
     occupied = np.flatnonzero((amps != 0).any(axis=rows))
-    # an all-zero batch stays zero on parity 0, and any window inside the
-    # lattice computes that; its light cone from the middle even column fits
-    first, last = (int(occupied[0]), int(occupied[-1])) if occupied.size else (t_max // 2 * 2,) * 2
+    first, last = int(occupied[0]), int(occupied[-1])
     # step k reads a state that is zero outside lattice columns [left - k,
     # right + k]; each flush moves them to the support it leaves
     left, right = first + 1, last - 1
@@ -429,25 +425,20 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     buffers = store[..., : 2 * row].reshape(store.shape[:-1] + (2, row))
     landings = store[..., 1 : 2 * row + 3].reshape(store.shape[:-1] + (2, row + 1))[..., :size]
     halves = [buffers[s][..., 1 + (first + s) % 2 : t_max + 2] for s in (0, 1)]
-    # Step 1 reads the input from buffers[0], which is cleared after it:
-    # later landings never write the vacated edge cell, so an input value
-    # there would survive.
-    halves[0][...] = amps[..., first % 2 :: 2]
+    halves[0][..., first // 2 : last // 2 + 1] = amps[..., first : last + 1 : 2]
     yield steps_taken, halves[0]
 
     renew = 1
     for k, coin in enumerate(coins, start=1):
         if k == renew:
-            # Lattice columns [left - k, right + k], read by step k, have
-            # indices [(left - k) // 2, (right + k) // 2] on either parity.
-            # The window widens those to whole quanta, so it changes only when
-            # they cross a quantum boundary or a flush moves [left, right], and
-            # its views are rebuilt only then.  The light cone fits the
-            # lattice, so a window that reaches index 0 or past the last index
-            # is not renewed on that side before the last step.
-            lo = (left - k) // 2 // _WINDOW_QUANTUM * _WINDOW_QUANTUM
-            hi = min(-(-((right + k) // 2 + 1) // _WINDOW_QUANTUM) * _WINDOW_QUANTUM, size)
-            renew = min(left + 1 - 2 * lo, 2 * hi - right)
+            # Steps k to `stop`, the next flush step or the last, read lattice
+            # columns [left - stop, right + stop], of indices [(left - stop)
+            # // 2, (right + stop) // 2] on either parity, which the window
+            # widens to whole blocks of 4.  The light cone fits the lattice,
+            # so the window lies in [0, size).
+            stop = min(k - 1 + _FLUSH_PERIOD - (steps_taken + k - 1) % _FLUSH_PERIOD, len(coins))
+            lo = (left - stop) // 2 // 4 * 4
+            hi = -(-((right + stop) // 2 + 1) // 4) * 4
             # On steps k = s mod 2 the walks are read from buffers[1 - s], of
             # lattice parity (first + s + 1) % 2, whose index j sits in buffer
             # column j + 1 + that parity, and land in buffers[s].  Real coins
@@ -459,19 +450,17 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
             ]
         source, landing, result = views[k % 2]
         np.matmul(coin, source, out=landing)
-        if k == 1:
-            buffers[0].fill(0)
         if (steps_taken + k) % _FLUSH_PERIOD == 0:
             parts = result.view(np.float64)
             np.copyto(parts, 0.0, where=np.abs(parts) < np.finfo(np.float64).tiny)
             occupied = np.flatnonzero(halves[k % 2].any(axis=rows))
+            # a state of subnormal parts only flushes to zero and keeps its window
             if occupied.size:
                 # index j of the landed half is lattice column 2j + (first + k) % 2
                 start, end = (2 * occupied[[0, -1]] + (first + k) % 2).tolist()
-                if (start + k + 1, end - k - 1) != (left, right):
-                    # the support narrowed: clear the state two steps back,
-                    # which the next window no longer overwrites everywhere
-                    buffers[1 - k % 2].fill(0)
+                # the next step lands on the state two steps back, which the
+                # next window may no longer cover
+                buffers[1 - k % 2].fill(0)
                 left, right, renew = start + k + 1, end - k - 1, k + 1
         yield steps_taken + k, halves[k % 2]
 
@@ -503,7 +492,8 @@ def evolve(state: WalkState, coins) -> WalkState:
     that holds amplitude on both is stepped as two walks, and a state from
     one site, at any step, is one walk.  Called one coin at a time it gives
     every intermediate state, with the amplitudes and the |a|^2 bytes of
-    one continuous walk.  With no coins it returns a copy.
+    one continuous walk.  With no coins it returns a copy, and an all-zero
+    state is no walk: it stays zero.
 
     No amplitude leaves the lattice: a state that holds amplitude fewer
     than ``len(coins)`` columns from either edge raises before any step,
@@ -553,7 +543,7 @@ def evolve(state: WalkState, coins) -> WalkState:
     if occupied.size and min(occupied[0], 2 * out.t_max - occupied[-1]) < len(coins):
         raise CapacityError(f"{len(coins)} steps would move amplitude past a lattice edge")
     amps, out.amplitudes = out.amplitudes, np.zeros_like(out.amplitudes)
-    walks = [y for y in (0, 1) if amps[:, y::2].any()] or [0]
+    walks = [y for y in (0, 1) if amps[:, y::2].any()]
     for y in walks:
         walk = amps if len(walks) == 1 else np.where(np.arange(amps.shape[-1]) % 2 == y, amps, 0)
         for t, half in _walk_steps(walk, coins, out.steps_taken):
@@ -571,8 +561,10 @@ def evolve_ordered(initial: WalkState, coin: CoinParams, steps: int) -> WalkStat
     CapacityError
         If the lattice cannot absorb that many further steps.
     InvalidParameterError
-        If ``steps`` is negative or not an integer.
+        If ``coin`` is not a :class:`CoinParams`, or ``steps`` is negative
+        or not an integer.
     """
+    coin = instance_of("coin", coin, CoinParams)
     steps = exact_count("steps", steps)
     matrix = coin_matrices([(coin.xi, coin.theta, coin.zeta)])
     return evolve(initial, np.broadcast_to(matrix, (steps, 2, 2)))
@@ -589,8 +581,13 @@ def check_state(state: WalkState) -> None:
     |x| = steps_taken) and the parity rule (exact zeros wherever
     x + steps_taken is odd).  Intended for tests and verification sweeps,
     not for hot loops.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``state`` is not a :class:`WalkState`, before any check.
     """
-    n = state.norm()
+    n = instance_of("state", state, WalkState).norm()
     # raised explicitly, so that the checks also run under python -O
     if not abs(n - 1.0) <= _CHECK_NORM_TOL:
         raise AssertionError(f"norm {n!r} drifted beyond {_CHECK_NORM_TOL}")

@@ -422,6 +422,20 @@ class TestEvolve:
             evolve(WalkState(3, amps), hadamard)
         assert same_bits(amps, before)
 
+    def test_negative_zeros_outside_the_support_step_to_positive_zeros(self):
+        # -0.0 parts in every column but a band of 3 columns: after each
+        # number of steps every amplitude outside the band's light cone is +0
+        rng = np.random.default_rng(5)
+        t_max, steps = 40, 12
+        amps = np.full((2, 2 * t_max + 1), complex(-0.0, -0.0))
+        amps[:, t_max - 2 : t_max + 3 : 2] = random_amplitudes(rng, (2, 3))
+        coins = random_unitaries(rng, (steps,))
+        x = np.arange(2 * t_max + 1)
+        for t in range(1, steps + 1):
+            out = evolve(WalkState(t_max, amps), coins[:t]).amplitudes
+            outside = out[:, (x < t_max - 2 - t) | (x > t_max + 2 + t)]
+            assert not np.signbit([outside.real, outside.imag]).any(), t
+
     def test_input_state_is_not_mutated(self):
         initial = symmetric_state(6)
         before = initial.amplitudes.copy()
@@ -545,7 +559,7 @@ def random_unitaries(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     return q
 
 
-class TestEvolveInPlace:
+class TestBatchedWalkSteps:
     """Batches of walks through the step loop, against ``evolve`` on each walk."""
 
     @pytest.mark.parametrize("seed", range(4))
@@ -623,18 +637,24 @@ def same_values(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a, b) and same_bits(np.abs(a) ** 2, np.abs(b) ** 2)
 
 
+#: Flush periods the kernel cases run with.  The window changes only after a
+#: flush: periods of 4 and 8 move it many times within a walk of 100 steps,
+#: 64 once, and the default, 128, not at all.
+FLUSH_PERIODS = [4, 8, 64, core._FLUSH_PERIOD]
+
+
 class TestLightConeCrop:
     """The kernel multiplies only the columns the light cone can reach.
 
-    Lattices wider than the kernel's window quantum, so the windows really
-    are narrower than the lattice for most steps.
+    Walks of up to 100 steps from one column, so the windows are narrower
+    than the lattice until the last flush period.
     """
 
-    @pytest.mark.parametrize("quantum", [4, 8, core._WINDOW_QUANTUM])
+    @pytest.mark.parametrize("period", FLUSH_PERIODS)
     @pytest.mark.parametrize("t_max", [100, 101])  # widths 201 and 203: 1 and 3 mod 4
     @pytest.mark.parametrize("batch", [(1,), (5,), (2, 3)])
-    def test_walks_from_the_origin_match_the_reference(self, monkeypatch, quantum, t_max, batch):
-        monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
+    def test_walks_from_the_origin_match_the_reference(self, monkeypatch, period, t_max, batch):
+        monkeypatch.setattr(core, "_FLUSH_PERIOD", period)
         rng = np.random.default_rng(t_max)
         amps = np.zeros(batch + (2, 2 * t_max + 1), dtype=np.complex128)
         amps[..., t_max] = rng.normal(size=batch + (2,)) + 1j * rng.normal(size=batch + (2,))
@@ -643,24 +663,56 @@ class TestLightConeCrop:
     @pytest.mark.parametrize("t_max", [64, 65, 100])  # widths 129, 131 and 201
     @pytest.mark.parametrize("edge", [0, -1])
     def test_support_on_one_edge_column(self, t_max, edge):
-        # the last column of width 129 starts a quantum of 64, so a window
-        # holding only the support would be that one column, and a
-        # one-column product goes through zgemv and rounds differently.
-        # Padding by two quanta of columns on either side gives the steps
-        # room and moves every column by one quantum of indices, so each
-        # keeps its place in its quantum.
+        # the support is one column at the first or the last index of its
+        # half lattice.  Padding by 104 columns on either side, at least the
+        # steps and a multiple of 8, gives the steps room and moves every
+        # column by 52 indices, so each keeps its place in its block of 4.
         rng = np.random.default_rng(t_max)
         start = np.zeros((2, 2 * t_max + 1), dtype=np.complex128)
         start[:, edge] = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert 2 * core._WINDOW_QUANTUM >= t_max
-        check_every_step(padded(start, 2 * core._WINDOW_QUANTUM), random_unitaries(rng, (t_max,)))
+        check_every_step(padded(start, 104), random_unitaries(rng, (t_max,)))
 
-    def test_all_zero_amplitudes_stay_zero(self):
-        amps = np.zeros((3, 2, 151), dtype=np.complex128)
-        coins = random_unitaries(np.random.default_rng(1), (75, 3))
-        seen = [(t, bool(np.any(a))) for t, a in walk_states(amps, coins)]
-        assert seen == [(t, False) for t in range(1, 76)]
-        assert not np.any(evolved_walks(amps, coins))
+    def test_all_zero_amplitudes_stay_zero(self, monkeypatch):
+        # an all-zero state has no light cone: evolve runs no walk, one coin
+        # at a time or all at once
+        monkeypatch.setattr(core, "_walk_steps", lambda *args: pytest.fail("a step ran"))
+        coins = random_unitaries(np.random.default_rng(1), (75,))
+        state = WalkState(75, np.zeros((2, 151), dtype=np.complex128))
+        zeros = state.amplitudes.copy()
+        whole = evolve(state, coins)
+        assert whole.steps_taken == 75 and same_bits(whole.amplitudes, zeros)
+        for t in range(1, 76):
+            state = evolve(state, coins[t - 1 : t])
+            assert state.steps_taken == t and same_bits(state.amplitudes, zeros)
+
+    @pytest.mark.parametrize("period", FLUSH_PERIODS)
+    @pytest.mark.parametrize("t_max", [135, 139])  # widths 271 and 279: 3 mod 4
+    def test_windows_change_only_after_a_flush(self, monkeypatch, period, t_max):
+        # A walk from the origin whose last step reaches both edges.  Every
+        # window starts on a multiple of 4, is whole blocks of 4 indices
+        # long and ends at or before `size`, the whole blocks over the
+        # even half lattice; the last one ends there.
+        monkeypatch.setattr(core, "_FLUSH_PERIOD", period)
+        rng = np.random.default_rng(t_max)
+        start = np.zeros((2, 2, 2 * t_max + 1), dtype=np.complex128)
+        start[..., t_max] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        calls = matmul_spy(monkeypatch)
+        walk = core._walk_steps(start, random_unitaries(rng, (t_max, 2)), 0)
+        _, source = next(walk)
+        windows = []
+        for _, landed in walk:
+            # each step multiplies the last half lattice from index lo on
+            _, _, columns, address = calls[-1]
+            lo = (address - source.ctypes.data) // 16
+            windows.append((lo, lo + columns))
+            source = landed
+        assert len(calls) == len(windows) == t_max
+        size = -(-(t_max + 1) // 4) * 4
+        assert all(lo % 4 == hi % 4 == 0 and 0 <= lo < hi <= size for lo, hi in windows)
+        assert windows[-1][1] == size
+        # window k is that of step k + 1
+        changed = [k + 1 for k in range(1, t_max) if windows[k] != windows[k - 1]]
+        assert changed and all((k - 1) % period == 0 for k in changed), changed
 
     def test_every_state_of_a_narrow_band_after_earlier_steps(self):
         rng = np.random.default_rng(3)
@@ -686,31 +738,27 @@ def check_every_step(start: np.ndarray, coins: np.ndarray, steps_taken: int = 0)
     assert same_values(evolved_walks(start, coins, steps_taken), expected)
 
 
-#: Window quanta, in sublattice columns, that the sublattice cases run with.
-QUANTA = [4, 8, core._WINDOW_QUANTUM]
-
-
 class TestParitySublattice:
     """The even and the odd columns are stepped as two walks on half lattices.
 
     Every case compares the kernel with a full-lattice ``reference_step``
-    loop after every step, at several window quanta, on inputs that reach
+    loop after every step, at several flush periods, on inputs that reach
     what the half-lattice layout must handle: both parities at once, light
     cones that reach the lattice edges, and widths of 3 mod 4, whose last
     columns fill only part of a block of 4.
     """
 
-    @pytest.mark.parametrize("quantum", QUANTA)
+    @pytest.mark.parametrize("period", FLUSH_PERIODS)
     @pytest.mark.parametrize("t_max", [30, 31])  # widths 61 and 63: 1 and 3 mod 4
     @pytest.mark.parametrize("support", ["lattice", "band"])
     def test_both_parities_in_a_batch_after_earlier_steps(
-        self, monkeypatch, quantum, t_max, support
+        self, monkeypatch, period, t_max, support
     ):
         # "band" starts narrower than the unpadded width.  The padding is the
         # steps rounded up to even, so the light cone of "lattice" reaches
         # both edges after 26 steps (t_max 30) and one column short of them
         # after 27 (t_max 31).
-        monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
+        monkeypatch.setattr(core, "_FLUSH_PERIOD", period)
         rng = np.random.default_rng(t_max)
         start = random_amplitudes(rng, (2, 3, 2, 2 * t_max + 1))
         if support == "band":
@@ -719,16 +767,16 @@ class TestParitySublattice:
         coins = random_unitaries(rng, (t_max - 4, 2, 3))
         check_every_step(padded(start, t_max - 4), coins, steps_taken=4)
 
-    @pytest.mark.parametrize("quantum", QUANTA)
+    @pytest.mark.parametrize("period", FLUSH_PERIODS)
     @pytest.mark.parametrize("t_max", [40, 41])  # widths 81 and 83
     @pytest.mark.parametrize("edge", ["left", "right"])
     @pytest.mark.parametrize("parity", [0, 1, "both"])
-    def test_amplitude_leaving_through_each_edge(self, monkeypatch, quantum, t_max, edge, parity):
+    def test_amplitude_leaving_through_each_edge(self, monkeypatch, period, t_max, edge, parity):
         # A band whose outer column lies as many columns from the edge as it
         # has steps to go reaches that edge on the last step and keeps every
         # amplitude; one column nearer, a step would move amplitude past the
         # edge, so the walk raises before any step.
-        monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
+        monkeypatch.setattr(core, "_FLUSH_PERIOD", period)
         rng = np.random.default_rng([t_max, {0: 0, 1: 1, "both": 2}[parity]])
         width, taken = 2 * t_max + 1, 3
         # the outer column's lattice parity is that of the steps; a band on
@@ -753,12 +801,12 @@ class TestParitySublattice:
             assert same_bits(state.amplitudes, before)
             assert (state.t_max, state.steps_taken) == (t_max, taken)
 
-    @pytest.mark.parametrize("quantum", QUANTA)
+    @pytest.mark.parametrize("period", FLUSH_PERIODS)
     @pytest.mark.parametrize("t_max", [101, 103])  # widths 203 and 207: 3 mod 4
-    def test_full_capacity_walk_from_the_origin(self, monkeypatch, quantum, t_max):
+    def test_full_capacity_walk_from_the_origin(self, monkeypatch, period, t_max):
         # the last two steps reach the lattice's last three columns, which
         # fill only part of a block of 4
-        monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
+        monkeypatch.setattr(core, "_FLUSH_PERIOD", period)
         rng = np.random.default_rng(t_max)
         start = np.zeros((2, 2, 2 * t_max + 1), dtype=np.complex128)
         start[..., t_max] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -771,16 +819,18 @@ def real_orthogonal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     return q.astype(np.complex128)
 
 
-def matmul_spy(monkeypatch) -> list[tuple[np.dtype, np.dtype, int]]:
-    """Record every ``np.matmul`` call from now on: both operand dtypes and the columns of amplitudes.
+def matmul_spy(monkeypatch) -> list[tuple[np.dtype, np.dtype, int, int]]:
+    """Record every ``np.matmul`` call from now on.
 
-    A float64 operand holds each amplitude as two columns, its real and its
-    imaginary part.
+    Each call gives both operand dtypes, the columns of amplitudes of the
+    second operand and the address of its first element.  A float64
+    operand holds each amplitude as two columns, its real and its imaginary
+    part.
     """
     calls = []
 
     def spy(a, b, *args, _matmul=np.matmul, **kwargs):
-        calls.append((a.dtype, b.dtype, b.shape[-1] * b.itemsize // 16))
+        calls.append((a.dtype, b.dtype, b.shape[-1] * b.itemsize // 16, b.ctypes.data))
         return _matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
@@ -802,11 +852,11 @@ class TestRealCoins:
     (``TestRealCoinColumnBits`` pins why the bits are zgemm's).
     """
 
-    @pytest.mark.parametrize("quantum", [4, core._WINDOW_QUANTUM])
+    @pytest.mark.parametrize("period", FLUSH_PERIODS)
     @pytest.mark.parametrize("batch", [(), (3,)])
     @pytest.mark.parametrize("kind", ["hadamard", "coin-family", "orthogonal"])
-    def test_real_coins_match_the_reference(self, monkeypatch, quantum, batch, kind):
-        monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
+    def test_real_coins_match_the_reference(self, monkeypatch, period, batch, kind):
+        monkeypatch.setattr(core, "_FLUSH_PERIOD", period)
         rng = np.random.default_rng(len(batch))
         t_max, steps = 60, 50
         shape = (steps,) + batch
@@ -849,9 +899,10 @@ class TestZgemmColumnBits:
 
     A column inside whole blocks of 4 gets the full product's bits wherever
     the block starts.  This held with numpy 2.4.6 on OpenBLAS 0.3.31
-    (scipy-openblas64, DYNAMIC_ARCH, Haswell kernels, 2 threads).  A BLAS
-    build that breaks it fails here by name, not only through a pinned
-    digest.
+    (scipy-openblas64, DYNAMIC_ARCH, 2 threads) on its SkylakeX, Haswell,
+    SandyBridge and Prescott kernels (``TestRealCoinColumnBitsOnOtherKernels``
+    checks the last three).  A BLAS build that breaks it fails here by
+    name, not only through a pinned digest.
     """
 
     @pytest.mark.parametrize("batch", [(), (5,)])
@@ -911,7 +962,7 @@ class TestRealCoinColumnBits:
             assert real.tobytes() == (coin @ window).tobytes(), (n, pad)
 
 
-#: ``OPENBLAS_CORETYPE`` values the real-coin fact is checked under, with the
+#: ``OPENBLAS_CORETYPE`` values the column-bit facts are checked under, with the
 #: names ``OPENBLAS_VERBOSE=2`` reports for each: x86-64 builds alias the
 #: Katmai kernels to Prescott's and report the first name.
 OTHER_BLAS_CORES = {
@@ -922,11 +973,13 @@ OTHER_BLAS_CORES = {
 
 
 class TestRealCoinColumnBitsOnOtherKernels:
-    """``TestRealCoinColumnBits`` in a fresh process on each of three other OpenBLAS kernels.
+    """``TestRealCoinColumnBits`` and ``TestZgemmColumnBits`` on three other OpenBLAS kernels.
 
-    The real-coin path adds no dependence on which kernel the CPU gets: the
-    pinned digests already depend on zgemm's.  A numpy whose BLAS does not
-    report the requested core skips, with the reason.
+    Both classes run in one fresh process per kernel.  The real-coin path
+    adds no dependence on which kernel the CPU gets: the pinned digests
+    already depend on zgemm's, and every window of the step kernel relies
+    on zgemm's column bits.  A numpy whose BLAS does not report the
+    requested core skips, with the reason.
     """
 
     @pytest.mark.parametrize("coretype", OTHER_BLAS_CORES)
@@ -941,7 +994,7 @@ class TestRealCoinColumnBitsOnOtherKernels:
         # -s: OpenBLAS reports its core on stderr as numpy loads it
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
-             f"{__file__}::TestRealCoinColumnBits"],
+             f"{__file__}::TestRealCoinColumnBits", f"{__file__}::TestZgemmColumnBits"],
             capture_output=True, text=True, env=env, check=False, cwd=Path(__file__).parent,
         )
         cores = [line.split(":", 1)[1].strip() for line in result.stderr.splitlines()
@@ -1038,52 +1091,91 @@ class TestSubnormalFlush:
 
     @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
     def test_random_schedule_near_the_swap_coin(self, batch):
-        rng = np.random.default_rng(7)
-        shape = (self.STEPS,) + batch
-        angles = np.stack(
-            [
-                rng.uniform(0.0, HALF_PI, shape),
-                rng.uniform(1.55, 1.5707, shape),
-                rng.uniform(0.0, HALF_PI, shape),
-            ],
-            axis=-1,
-        )
-        coins = coin_matrices(angles.reshape(-1, 3)).reshape(shape + (2, 2))
+        coins = near_swap_coins(np.random.default_rng(7), (self.STEPS,) + batch)
         self.check_against_reference(self.start(batch), coins)
+
+
+def near_swap_coins(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Coins of random phases and theta in [1.55, 1.5707], one per step and walk of ``shape``."""
+    angles = np.stack(
+        [
+            rng.uniform(0.0, HALF_PI, shape),
+            rng.uniform(1.55, 1.5707, shape),
+            rng.uniform(0.0, HALF_PI, shape),
+        ],
+        axis=-1,
+    )
+    return coin_matrices(angles.reshape(-1, 3)).reshape(shape + (2, 2))
+
+
+def flushed_reference(start: np.ndarray, coins: np.ndarray):
+    """Yield ``(t, state)`` after every step of a full-lattice walk that flushes as the kernel does.
+
+    A ``reference_walks`` loop: after each step whose count is a multiple
+    of ``core._FLUSH_PERIOD``, every real or imaginary part below the
+    smallest normal float64 is set to +0.0, over the whole lattice where
+    the kernel flushes its window.
+    """
+    expected = start
+    for t, coin in enumerate(coins, start=1):
+        expected = reference_walks(expected, coin[np.newaxis])
+        if t % core._FLUSH_PERIOD == 0:
+            parts = expected.view(np.float64)
+            np.copyto(parts, 0.0, where=np.abs(parts) < np.finfo(np.float64).tiny)
+        yield t, expected
 
 
 class TestFlushRecrop:
     """After each flush the kernel's window grows from the support the flush left.
 
     Near-swap coins leave tails that flush to zero, so the support narrows
-    inside the light cone.  Every state must match the same kernel with a
-    window quantum as wide as the lattice, which crops nothing, and some
-    window must be narrower than the one before it, which only the re-crop
-    gives.
+    inside the light cone.  Every state must match ``flushed_reference``, a
+    full-lattice ``reference_walks`` loop that flushes at the same steps.
+    At the default period some window must also be narrower than the one
+    before it, which only the re-crop gives.
     """
 
     STEPS = 300
 
-    @pytest.mark.parametrize("quantum", [4, core._WINDOW_QUANTUM])
+    def check_against_flushed_reference(self, coins: np.ndarray) -> list[int]:
+        """Check every state of a walk from the origin; return each product's columns."""
+        batch = coins.shape[1:-2]
+        start = np.zeros(batch + (2, 2 * self.STEPS + 1), dtype=np.complex128)
+        start[..., self.STEPS] = symmetric_state(0).amplitudes[:, 0]
+        with pytest.MonkeyPatch.context() as spied:
+            calls = matmul_spy(spied)
+            subnormals = 0
+            for (t, a), (_, expected) in zip(walk_states(start, coins),
+                                             flushed_reference(start, coins)):
+                assert same_values(a, expected), t
+                subnormals += subnormal_parts(expected)
+        assert t == self.STEPS
+        assert subnormals > 0, "no tail to flush"
+        assert same_values(evolved_walks(start, coins), expected)
+        return [n for _, _, n, _ in calls]
+
+    @pytest.mark.parametrize("period", FLUSH_PERIODS)
     @pytest.mark.parametrize("phase", [0.0, 0.3], ids=["real", "complex"])
     @pytest.mark.parametrize("walks", [[2], [1, 2]], ids=["1e-6", "batch"])
-    def test_every_state_matches_an_uncropped_kernel(self, monkeypatch, quantum, phase, walks):
+    def test_every_state_matches_an_uncropped_kernel(self, monkeypatch, period, phase, walks):
+        monkeypatch.setattr(core, "_FLUSH_PERIOD", period)
         coin = coin_matrices([(phase, NEAR_SWAP_THETAS[i], phase) for i in walks])
         batch = () if len(walks) == 1 else (len(walks),)
         coins = np.broadcast_to(coin.reshape(batch + (2, 2)), (self.STEPS,) + batch + (2, 2))
-        start = np.zeros(batch + (2, 2 * self.STEPS + 1), dtype=np.complex128)
-        start[..., self.STEPS] = symmetric_state(0).amplitudes[:, 0]
-        with monkeypatch.context() as uncropped:
-            uncropped.setattr(core, "_WINDOW_QUANTUM", start.shape[-1])
-            expected = [a for _, a in walk_states(start, coins)]
-        assert sum(subnormal_parts(a) for a in expected) > 0, "no tail to flush"
-        monkeypatch.setattr(core, "_WINDOW_QUANTUM", quantum)
-        calls = matmul_spy(monkeypatch)
-        for t, a in walk_states(start, coins):
-            assert same_values(a, expected[t - 1]), t
-        columns = [n for _, _, n in calls]
-        assert any(b < a for a, b in zip(columns, columns[1:])), "no window narrowed"
-        assert same_values(evolved_walks(start, coins), expected[-1])
+        columns = self.check_against_flushed_reference(coins)
+        # shorter periods keep each window within a few steps of the
+        # support, so only the default's windows narrow
+        if period == FLUSH_PERIODS[-1]:
+            assert any(b < a for a, b in zip(columns, columns[1:])), "no window narrowed"
+
+    @pytest.mark.parametrize("period", FLUSH_PERIODS)
+    def test_random_schedule_near_the_swap_coin(self, monkeypatch, period):
+        # At period 8 the last window, from step 297, covers 4 steps instead
+        # of 8; the state two steps back holds tails outside it, which the
+        # clear at each flush removes.
+        monkeypatch.setattr(core, "_FLUSH_PERIOD", period)
+        self.check_against_flushed_reference(near_swap_coins(np.random.default_rng(7),
+                                                             (self.STEPS, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -1109,6 +1201,11 @@ class TestEvolveOrdered:
         state = evolve_ordered(initial, CoinParams(1.0, 2.0, 3.0), 0)
         np.testing.assert_array_equal(state.amplitudes, initial.amplitudes)
         assert state.steps_taken == 0
+
+    @pytest.mark.parametrize("coin", [None, (0.0, QUARTER_PI, 0.0)], ids=["none", "tuple"])
+    def test_coin_that_is_not_coin_params_rejected(self, coin):
+        with pytest.raises(InvalidParameterError, match="coin must be a CoinParams"):
+            evolve_ordered(symmetric_state(2), coin, 2)
 
     def test_steps_beyond_capacity_raises(self):
         with pytest.raises(CapacityError):
@@ -1234,6 +1331,11 @@ BROKEN_STATES = {
 
 
 class TestCheckState:
+    @pytest.mark.parametrize("state", [None, np.zeros((2, 3))], ids=["none", "array"])
+    def test_rejects_what_is_not_a_walk_state(self, state):
+        with pytest.raises(InvalidParameterError, match="state must be a WalkState"):
+            check_state(state)
+
     @pytest.mark.parametrize("source, message", BROKEN_STATES.values(), ids=BROKEN_STATES)
     def test_rejects_a_broken_state(self, source, message):
         with pytest.raises(AssertionError, match=message):

@@ -11,7 +11,7 @@ def walk_states(amplitudes: np.ndarray, coins, steps_taken: int = 0):
     Builds each full (..., 2, 2*t_max + 1) ``state`` as ``core.evolve``
     writes its result back: the even and the odd columns that hold
     amplitude are two walks, each run by its own generator
-    ``core._walk_steps`` (all-zero amplitudes are one walk).  Each
+    ``core._walk_steps``, and all-zero amplitudes are no walk.  Each
     generator's start state is skipped, and step by step the half lattice
     of each walk fills its parity of a zeroed ``state``.  Each ``state`` is
     a new array, and ``amplitudes`` is only read.  The arguments must be
@@ -22,12 +22,14 @@ def walk_states(amplitudes: np.ndarray, coins, steps_taken: int = 0):
     """
     coins = np.asarray(coins, dtype=np.complex128)
     parity = np.arange(amplitudes.shape[-1]) % 2
-    walks = {}
-    for y in [y for y in (0, 1) if amplitudes[..., y::2].any()] or [0]:
-        walks[y] = core._walk_steps(np.where(parity == y, amplitudes, 0), coins, steps_taken)
-        next(walks[y])
-    for k, yields in enumerate(zip(*walks.values()), start=1):
+    walks = {
+        y: core._walk_steps(np.where(parity == y, amplitudes, 0), coins, steps_taken)
+        for y in (0, 1) if amplitudes[..., y::2].any()
+    }
+    for walk in walks.values():
+        next(walk)
+    for k in range(1, len(coins) + 1):
         state = np.zeros(amplitudes.shape, dtype=np.complex128)
-        for y, (t, half) in zip(walks, yields):
-            state[..., (y + k) % 2 :: 2] = half
-        yield t, state
+        for y, walk in walks.items():
+            state[..., (y + k) % 2 :: 2] = next(walk)[1]
+        yield steps_taken + k, state
