@@ -24,9 +24,8 @@ from coinwalk.core import (
     coin_matrices,
     _walk_steps,
     exact_count,
-    exact_int,
+    finite_array,
     instance_of,
-    real_array,
 )
 from coinwalk.disorder import ORDERED, DisorderSpec, sample_schedule
 from coinwalk.errors import InvalidParameterError, NormDriftError
@@ -60,9 +59,10 @@ class PositionDistribution:
 
     ``p[i]`` is the probability at x = i - h where h = (len(p) - 1) // 2;
     ``t``, an exact integer >= 0, records after how many steps the
-    distribution was taken.  ``p`` must be of an integer or float dtype:
-    complex probabilities are rejected, not cut to their real parts, and
-    bools and strings are not read as numbers.
+    distribution was taken.  ``p`` must pass ``core.finite_array`` as
+    float64: complex probabilities are rejected, not cut to their real
+    parts, bools and strings are not read as numbers, and longdouble is not
+    narrowed.
     """
 
     t: int
@@ -70,13 +70,11 @@ class PositionDistribution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", exact_count("t", self.t))
-        p = real_array("probabilities", self.p)
+        p = finite_array("probabilities", self.p, np.float64)
         if p.ndim != 1 or p.size % 2 == 0:
             raise InvalidParameterError(
                 f"p must be a 1-D array of odd length, got shape {p.shape}"
             )
-        if not np.all(np.isfinite(p)):
-            raise InvalidParameterError("probabilities must be finite")
         if np.any(p < 0):
             raise InvalidParameterError("probabilities must be non-negative")
         object.__setattr__(self, "p", p)
@@ -205,13 +203,14 @@ def localization_length(
     Raises
     ------
     InvalidParameterError
-        If a spread is not a real (integer or float, not bool) number or
-        array, the shapes differ, or any spread is not finite, any ordered
-        spread is not positive or any disordered one is negative; the
-        message names the first such value.
+        If a spread does not pass ``core.finite_array`` as float64 (it is
+        not a finite integer or float number or array: bools, complex
+        numbers and longdouble are rejected), the shapes differ, any
+        ordered spread is not positive or any disordered one is negative;
+        the message names the first such value.
     """
-    ordered = real_array("ordered spread", sigma_ordered)
-    disordered = real_array("disordered spread", sigma_disordered)
+    ordered = finite_array("ordered spread", sigma_ordered, np.float64)
+    disordered = finite_array("disordered spread", sigma_disordered, np.float64)
     if disordered.shape != ordered.shape:
         raise InvalidParameterError(
             f"spreads must have one shape, got {disordered.shape} and {ordered.shape}"
@@ -220,11 +219,10 @@ def localization_length(
         ("ordered", ordered, np.greater, "> 0"),
         ("disordered", disordered, np.greater_equal, ">= 0"),
     ):
-        # written so that NaN fails too
-        bad = ~(above(spread, 0) & (spread < math.inf))
+        bad = ~above(spread, 0)
         if bad.any():
             raise InvalidParameterError(
-                f"{name} spread must be finite and {bound}, got {spread[bad].flat[0].item()!r}"
+                f"{name} spread must be {bound}, got {spread[bad].flat[0].item()!r}"
             )
     ratio = disordered / ordered
     return float(ratio) if ratio.ndim == 0 else ratio
@@ -240,8 +238,9 @@ def spreading_exponent(series: list[tuple[float, float]]) -> float:
     ----------
     series : sequence of (t, variance)
         A list, tuple or array of at least 3 tuples, lists or arrays of two
-        real (not bool) numbers, with finite t >= 1 and finite variance > 0,
-        at no fewer than 2 distinct t.
+        real (not bool) numbers, with t >= 1 and variance > 0, at no fewer
+        than 2 distinct t.  The t and the variances must each pass
+        ``core.finite_array`` as float64.
 
     Raises
     ------
@@ -257,9 +256,8 @@ def spreading_exponent(series: list[tuple[float, float]]) -> float:
             isinstance(x, numbers.Real) and not isinstance(x, bool) for x in point
         )):
             raise InvalidParameterError(f"a point must be a (t, variance) pair, got {point!r}")
-    t, v = (np.array(column, dtype=np.float64) for column in zip(*series))
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-        raise InvalidParameterError("every t and variance must be finite")
+    t, v = zip(*series)
+    t, v = finite_array("t", t, np.float64), finite_array("variance", v, np.float64)
     if np.unique(t).size < 2:
         raise InvalidParameterError("need at least 2 distinct t")
     if np.any(t < 1):
@@ -409,10 +407,9 @@ def run_ensembles(
                 f"an ensemble must be a (spec, steps, realizations) triple, got {triple!r}"
             )
         spec, steps, realizations = triple
-        steps, realizations = exact_count("steps", steps), exact_int("realizations", realizations)
+        steps = exact_count("steps", steps)
+        realizations = exact_count("realizations", realizations, 1)
         instance_of("spec", spec, DisorderSpec)
-        if realizations < 1:
-            raise InvalidParameterError(f"realizations must be >= 1, got {realizations}")
         triples.append((spec, steps, realizations))
     if not triples:
         raise InvalidParameterError("need at least one ensemble")

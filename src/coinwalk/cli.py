@@ -28,7 +28,7 @@ from coinwalk.analysis import (
     run_ensembles,
     variance,
 )
-from coinwalk.core import InitialStateParams, exact_int, finite_real
+from coinwalk.core import InitialStateParams, exact_count, exact_int, finite_real
 from coinwalk.disorder import (
     ORDERED,
     PER_STEP_RANDOM,
@@ -216,15 +216,11 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     if not isinstance(out, str):
         raise InvalidParameterError(f"--out must be a path string, got {out!r}")
 
-    steps = exact_int("--steps", pick("steps"))
-    realizations = exact_int("--realizations", pick("realizations"))
+    steps = exact_count("--steps", pick("steps"), 1)
+    realizations = exact_count("--realizations", pick("realizations"), 1)
     master_seed = exact_int("--seed", pick("seed"))
     delta = finite_real("--delta", pick("delta"))
     phi = finite_real("--phi", pick("phi"))
-    if steps < 1:
-        raise InvalidParameterError(f"--steps must be >= 1, got {steps}")
-    if realizations < 1:
-        raise InvalidParameterError(f"--realizations must be >= 1, got {realizations}")
     # the seed mixer works mod 2**64, so a larger seed would alias a smaller one
     if not 0 <= master_seed < 2**64:
         raise InvalidParameterError(f"--seed must lie in [0, 2**64), got {master_seed}")

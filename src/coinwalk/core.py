@@ -16,7 +16,7 @@ import contextlib
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,11 +74,11 @@ def exact_int(name: str, value) -> int:
     raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
-def exact_count(name: str, value) -> int:
-    """Return ``value`` as an int if it is an exact integer >= 0; see :func:`exact_int`."""
+def exact_count(name: str, value, floor: int = 0) -> int:
+    """Return ``value`` as an int if it is an exact integer >= ``floor``; see :func:`exact_int`."""
     out = exact_int(name, value)
-    if out < 0:
-        raise InvalidParameterError(f"{name} must be >= 0, got {out}")
+    if out < floor:
+        raise InvalidParameterError(f"{name} must be >= {floor}, got {out}")
     return out
 
 
@@ -95,48 +95,32 @@ def instance_of(name: str, value, cls: type):
     return value
 
 
-def real_array(name: str, value) -> np.ndarray:
-    """Return ``value`` as a float64 array if its dtype is integer or float, else raise.
+def finite_array(name: str, value, dtype: type) -> np.ndarray:
+    """Return ``value`` as a ``dtype`` array if it is finite and casts to one safely, else raise.
 
-    Bools, strings, complex numbers and objects are rejected rather than
-    converted (``np.asarray([True], float)`` would silently give 1.0,
-    ``["1"]`` 1.0).
-
-    Raises
-    ------
-    InvalidParameterError
-        If ``value`` does not become an integer or float numpy array.
-    """
-    out = np.asarray(value)
-    if out.dtype.kind not in "iuf":
-        raise InvalidParameterError(
-            f"{name} must be real integers or floats, got dtype {out.dtype}"
-        )
-    return out.astype(np.float64, copy=False)
-
-
-def complex_array(name: str, value) -> np.ndarray:
-    """Return ``value`` as a complex128 array if it is finite and casts to one safely, else raise.
-
-    Integer, float and complex dtypes that complex128 holds exactly are
-    accepted; bools, strings, objects and wider types such as clongdouble
-    are rejected rather than converted or narrowed.
+    ``dtype`` is ``np.float64`` or ``np.complex128``.  Integer, float and
+    complex dtypes that numpy casts to ``dtype`` safely are accepted; bools,
+    strings, objects (a Python int beyond uint64 included) and wider types
+    such as longdouble are rejected rather than converted or narrowed
+    (``np.asarray([True], float)`` would silently give 1.0, ``["1"]`` 1.0).
+    This is the one rule for every array the package reads.
 
     Raises
     ------
     InvalidParameterError
         If ``value`` does not become such a numpy array, or holds a value
-        that is not finite.
+        that is not finite; the message names the first such value.
     """
     out = np.asarray(value)
-    if out.dtype.kind not in "iufc" or not np.can_cast(out.dtype, np.complex128):
+    if out.dtype.kind not in "iufc" or not np.can_cast(out.dtype, dtype):
+        kinds = ("real integers or floats" if dtype == np.float64
+                 else "integers, floats or complex numbers")
         raise InvalidParameterError(
-            f"{name} must be integers, floats or complex numbers that fit complex128, "
-            f"got dtype {out.dtype}"
+            f"{name} must be {kinds} that fit {np.dtype(dtype)}, got dtype {out.dtype}"
         )
-    if not np.isfinite(out).all():
-        raise InvalidParameterError(f"{name} must be finite")
-    return out.astype(np.complex128, copy=False)
+    if not (finite := np.isfinite(out)).all():
+        raise InvalidParameterError(f"{name} must be finite, got {out[~finite][0].item()!r}")
+    return out.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -183,7 +167,7 @@ class WalkState:
     component, row 1 the coin-|1> component, and column i is lattice site
     x = i - t_max.  ``steps_taken`` counts how many walk steps produced
     this state; it can never exceed ``t_max``.  The amplitudes must pass
-    :func:`complex_array`.
+    :func:`finite_array` as complex128.
     """
 
     t_max: int
@@ -194,7 +178,7 @@ class WalkState:
         self.t_max = exact_count("t_max", self.t_max)
         self.steps_taken = exact_count("steps_taken", self.steps_taken)
         expected = (2, 2 * self.t_max + 1)
-        self.amplitudes = complex_array("amplitudes", self.amplitudes)
+        self.amplitudes = finite_array("amplitudes", self.amplitudes, np.complex128)
         if self.amplitudes.shape != expected:
             raise InvalidParameterError(
                 f"amplitudes must have shape {expected}, got {self.amplitudes.shape}"
@@ -244,14 +228,12 @@ def coin_matrices(params) -> np.ndarray:
     Raises
     ------
     InvalidParameterError
-        If ``params`` is not (steps, 3), is not of an integer or float
-        dtype, or holds a non-finite angle.
+        If ``params`` is not (steps, 3) or does not pass
+        :func:`finite_array` as float64.
     """
-    angles = real_array("coin angles", params)
+    angles = finite_array("coin angles", params, np.float64)
     if angles.ndim != 2 or angles.shape[1] != 3:
         raise InvalidParameterError(f"params must have shape (steps, 3), got {angles.shape}")
-    if not np.all(np.isfinite(angles)):
-        raise InvalidParameterError("coin angles must be finite real numbers")
     xi, theta, zeta = angles.T
     c = np.cos(theta)
     s = np.sin(theta)
@@ -477,8 +459,7 @@ def checked_state(state: WalkState) -> WalkState:
         If ``state`` is not a :class:`WalkState`, or one of its fields fails
         the checks of a new ``WalkState``.
     """
-    state = instance_of("state", state, WalkState)
-    return WalkState(state.t_max, state.amplitudes, state.steps_taken)
+    return replace(instance_of("state", state, WalkState))
 
 
 def evolve(state: WalkState, coins) -> WalkState:
@@ -524,13 +505,14 @@ def evolve(state: WalkState, coins) -> WalkState:
         edge of the lattice.
     InvalidParameterError
         If ``state`` is not a :class:`WalkState`, ``coins`` is not a
-        (steps, 2, 2) array that passes :func:`complex_array`, or a field
-        of ``state`` fails the checks of a new ``WalkState``.
+        (steps, 2, 2) array that passes :func:`finite_array` as
+        complex128, or a field of ``state`` fails the checks of a new
+        ``WalkState``.
     """
     # checks the fields as a new state's, and shares the amplitudes, which
     # are only read: the result is written into a zeroed array
     out = checked_state(state)
-    coins = complex_array("coins", coins)
+    coins = finite_array("coins", coins, np.complex128)
     if coins.shape[1:] != (2, 2):
         raise InvalidParameterError(f"coins must have shape (steps, 2, 2), got {coins.shape}")
     end = out.steps_taken + len(coins)
@@ -585,9 +567,12 @@ def check_state(state: WalkState) -> None:
     Raises
     ------
     InvalidParameterError
-        If ``state`` is not a :class:`WalkState`, before any check.
+        If ``state`` is not a :class:`WalkState`, or one of its fields fails
+        the checks of a new ``WalkState``, before any check (a state's fields
+        may have been reassigned since it was made).
     """
-    n = instance_of("state", state, WalkState).norm()
+    state = checked_state(state)
+    n = state.norm()
     # raised explicitly, so that the checks also run under python -O
     if not abs(n - 1.0) <= _CHECK_NORM_TOL:
         raise AssertionError(f"norm {n!r} drifted beyond {_CHECK_NORM_TOL}")

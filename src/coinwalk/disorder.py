@@ -55,7 +55,7 @@ _QUARTER_PI = math.pi / 4
 
 @dataclass(frozen=True)
 class ParameterRange:
-    """Closed interval [low, high] of angles, in radians."""
+    """Closed interval [low, high] of angles, in radians, of finite width."""
 
     low: float
     high: float
@@ -63,9 +63,11 @@ class ParameterRange:
     def __post_init__(self) -> None:
         for name in ("low", "high"):
             object.__setattr__(self, name, finite_real(f"range {name}", getattr(self, name)))
-        if self.low > self.high:
+        # the width is negative exactly when low > high, and inf where high - low
+        # overflows, which would make every angle sample_schedule draws inf
+        if not 0 <= self.width < math.inf:
             raise InvalidParameterError(
-                f"range low must not exceed high, got [{self.low}, {self.high}]"
+                f"range must have low <= high and a finite width, got [{self.low}, {self.high}]"
             )
 
     @property

@@ -131,7 +131,8 @@ class TestDistributionFromState:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_probability_rejected(self, bad):
-        with pytest.raises(InvalidParameterError, match="probabilities must be finite"):
+        message = f"^probabilities must be finite, got {bad!r}$"
+        with pytest.raises(InvalidParameterError, match=message):
             PositionDistribution(t=1, p=np.array([bad, 0.0, 0.0]))
 
     @pytest.mark.parametrize(
@@ -143,8 +144,11 @@ class TestDistributionFromState:
 
     @pytest.mark.parametrize(
         "p",
-        [[True], np.array([False, True, False]), ["1"], np.array(["0", "1", "0"]), [None]],
-        ids=["bool", "numpy-bool", "string", "numpy-string", "object"],
+        [
+            [True], np.array([False, True, False]), ["1"], np.array(["0", "1", "0"]), [None],
+            np.array([0.0, 1.0, 0.0], dtype=np.longdouble),
+        ],
+        ids=["bool", "numpy-bool", "string", "numpy-string", "object", "longdouble"],
     )
     def test_probabilities_that_are_not_integers_or_floats_rejected(self, p):
         message = "^probabilities must be real integers or floats"
@@ -244,10 +248,12 @@ class TestLocalizationLength:
         scalars = [localization_length(float(d), float(o)) for d, o in zip(disordered, ordered)]
         assert ratios.tobytes() == np.array(scalars).tobytes()
 
-    @pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
-    def test_bad_ordered_spread_in_an_array_rejected(self, bad):
+    @pytest.mark.parametrize(
+        "bad, rule", [(0.0, "> 0"), (math.nan, "finite")], ids=["zero", "nan"]
+    )
+    def test_bad_ordered_spread_in_an_array_rejected(self, bad, rule):
         ordered = np.array([1.0, 2.0, bad, 4.0])
-        message = f"^ordered spread must be finite and > 0, got {bad!r}$"
+        message = f"^ordered spread must be {rule}, got {bad!r}$"
         with pytest.raises(InvalidParameterError, match=message):
             localization_length(np.ones(4), ordered)
 
@@ -256,14 +262,19 @@ class TestLocalizationLength:
             localization_length(np.ones(3), np.ones(4))
 
     @pytest.mark.parametrize(
-        "bad", [True, np.True_, 1 + 0j, "2.0", None, np.array([1.0 + 0j, 2.0])],
-        ids=["bool", "numpy-bool", "complex", "string", "none", "complex-array"],
+        "bad",
+        [
+            True, np.True_, 1 + 0j, "2.0", None, np.array([1.0 + 0j, 2.0]),
+            np.longdouble(2.0), np.array([1.0, 2.0], dtype=np.longdouble),
+        ],
+        ids=["bool", "numpy-bool", "complex", "string", "none", "complex-array",
+             "longdouble", "longdouble-array"],
     )
     @pytest.mark.parametrize("named", ["disordered", "ordered"])
     def test_non_real_spread_rejected(self, bad, named):
         good = np.ones(np.shape(bad)) if isinstance(bad, np.ndarray) else 2.0
         args = (bad, good) if named == "disordered" else (good, bad)
-        message = f"^{named} spread must be real integers or floats, got dtype "
+        message = f"^{named} spread must be real integers or floats that fit float64, got dtype "
         with pytest.raises(InvalidParameterError, match=message):
             localization_length(*args)
 
@@ -313,36 +324,43 @@ class TestSpreadingExponent:
         assert spreading_exponent([(2, 2.0), (2, 2.0), (8, 8.0)]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
-        "series",
+        "series, message",
         [
-            [(1, 1.0), (math.nan, 2.0), (4, 4.0)],
-            [(1, 1.0), (math.inf, 2.0), (4, 4.0)],
-            [(1, 1.0), (2, math.inf), (4, 4.0)],
-            [(1, 1.0), (2, math.nan), (4, 4.0)],
+            ([(1, 1.0), (math.nan, 2.0), (4, 4.0)], "^t must be finite, got nan$"),
+            ([(1, 1.0), (math.inf, 2.0), (4, 4.0)], "^t must be finite, got inf$"),
+            ([(1, 1.0), (2, math.inf), (4, 4.0)], "^variance must be finite, got inf$"),
+            ([(1, 1.0), (2, math.nan), (4, 4.0)], "^variance must be finite, got nan$"),
+            # beyond the float range: numpy holds such an int only as an object
+            ([(1, 1.0), (10**400, 2.0), (4, 4.0)], "^t must be .* got dtype object$"),
+            ([(1, 1.0), (2, 10**400), (4, 4.0)], "^variance must be .* got dtype object$"),
         ],
-        ids=["nan-t", "inf-t", "inf-variance", "nan-variance"],
+        ids=["nan-t", "inf-t", "inf-variance", "nan-variance", "huge-t", "huge-variance"],
     )
-    def test_non_finite_point_rejected(self, series, capfd):
-        with pytest.raises(InvalidParameterError, match="must be finite"):
+    def test_non_finite_point_rejected(self, series, message, capfd):
+        with pytest.raises(InvalidParameterError, match=message):
             spreading_exponent(series)
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize(
-        "series",
+        "series, message",
         [
-            [(1,), (2,), (3,)],
-            [(1, 1.0), "24", (4, 4.0)],
-            [(1, 1.0), (2, 2.0, 9.0), (4, 4.0)],
-            [(True, 1.0), (2, 2.0), (4, 4.0)],
-            [(1, 1.0), (2, False), (4, 4.0)],
-            [(1, 1.0), ("2", 2.0), (4, 4.0)],
-            [(1, 1.0), 2.0, (4, 4.0)],
+            ([(1,), (2,), (3,)], None),
+            ([(1, 1.0), "24", (4, 4.0)], None),
+            ([(1, 1.0), (2, 2.0, 9.0), (4, 4.0)], None),
+            ([(True, 1.0), (2, 2.0), (4, 4.0)], None),
+            ([(1, 1.0), (2, False), (4, 4.0)], None),
+            ([(1, 1.0), ("2", 2.0), (4, 4.0)], None),
+            ([(1, 1.0), 2.0, (4, 4.0)], None),
+            # a real that float64 cannot hold is not narrowed
+            ([(1, 1.0), (np.longdouble(2), 2.0), (4, 4.0)], "^t must be real integers or floats"),
+            ([(1, 1.0), (2, np.longdouble(2)), (4, 4.0)], "^variance must be real integers"),
         ],
         ids=["one-item", "string", "three-items", "bool-t", "bool-variance",
-             "string-t", "number"],
+             "string-t", "number", "longdouble-t", "longdouble-variance"],
     )
-    def test_point_that_is_not_a_pair_of_reals_rejected(self, series):
-        with pytest.raises(InvalidParameterError, match=r"must be a \(t, variance\) pair"):
+    def test_point_that_is_not_a_pair_of_reals_rejected(self, series, message):
+        message = message or r"must be a \(t, variance\) pair"
+        with pytest.raises(InvalidParameterError, match=message):
             spreading_exponent(series)
 
     @pytest.mark.parametrize("series", [5, None], ids=["number", "none"])

@@ -139,6 +139,12 @@ class TestErrorPaths:
         assert "--theta-range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_theta_range_of_overflowing_width_names_its_flag(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert main(["--theta-range=-1e308:1e308", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --theta-range: range must have")
+        assert not out.exists()
+
     def test_recipe_rejects_fixed_flags(self, tmp_path):
         assert main(["--recipe", "fig1", "--steps", "50", "--out", str(tmp_path)]) == 2
 

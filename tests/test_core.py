@@ -228,7 +228,8 @@ class TestCoinMatrix:
             with pytest.raises(InvalidParameterError):
                 coin_matrices(bad)
         for value in (math.nan, math.inf):
-            with pytest.raises(InvalidParameterError):
+            message = f"^coin angles must be finite, got {value}$"
+            with pytest.raises(InvalidParameterError, match=message):
                 coin_matrices([[0.0, value, 0.0]])
 
     @pytest.mark.parametrize(
@@ -240,8 +241,9 @@ class TestCoinMatrix:
             [[0.0, 0.5 + 0.1j, 0.0]],
             np.zeros((2, 3), dtype=np.complex128),
             [[0.0, 0.5, None]],
+            np.zeros((2, 3), dtype=np.longdouble),
         ],
-        ids=["bool", "numpy-bool", "string", "complex", "complex-array", "object"],
+        ids=["bool", "numpy-bool", "string", "complex", "complex-array", "object", "longdouble"],
     )
     def test_angles_that_are_not_integers_or_floats_rejected(self, bad):
         message = "^coin angles must be real integers or floats"
@@ -347,6 +349,29 @@ class TestStep:
 
 # ---------------------------------------------------------------------------
 # evolution kernel
+
+
+#: A field of a 3-site state reassigned to a value a new ``WalkState``
+#: rejects, and the start of the message it must raise with.
+REASSIGNED_FIELDS = {
+    "narrower-amplitudes": (
+        "amplitudes", np.zeros((2, 5), dtype=np.complex128), "amplitudes must have shape"
+    ),
+    "steps-beyond-t_max": ("steps_taken", 4, "steps_taken must lie in"),
+    "float-steps": ("steps_taken", 1.5, "steps_taken must be an integer"),
+    "negative-t_max": ("t_max", -1, "t_max must be >= 0"),
+    "bool-amplitudes": ("amplitudes", np.zeros((2, 7), dtype=bool), "amplitudes must be integers"),
+    "string-amplitudes": ("amplitudes", np.full((2, 7), "0"), "amplitudes must be integers"),
+    "object-amplitudes": (
+        "amplitudes", np.zeros((2, 7), dtype=object), "amplitudes must be integers"
+    ),
+    "clongdouble-amplitudes": (
+        "amplitudes", np.zeros((2, 7), dtype=np.clongdouble), "amplitudes must be integers"
+    ),
+    "nan-amplitudes": (
+        "amplitudes", np.full((2, 7), complex(0, np.nan)), "amplitudes must be finite"
+    ),
+}
 
 
 class TestEvolve:
@@ -505,23 +530,7 @@ class TestEvolve:
                 evolve(symmetric_state(3), bad)
 
     @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("amplitudes", np.zeros((2, 5), dtype=np.complex128), "amplitudes must have shape"),
-            ("steps_taken", 4, "steps_taken must lie in"),
-            ("steps_taken", 1.5, "steps_taken must be an integer"),
-            ("t_max", -1, "t_max must be >= 0"),
-            ("amplitudes", np.zeros((2, 7), dtype=bool), "amplitudes must be integers"),
-            ("amplitudes", np.full((2, 7), "0"), "amplitudes must be integers"),
-            ("amplitudes", np.zeros((2, 7), dtype=object), "amplitudes must be integers"),
-            ("amplitudes", np.zeros((2, 7), dtype=np.clongdouble), "amplitudes must be integers"),
-            ("amplitudes", np.full((2, 7), complex(0, np.nan)), "amplitudes must be finite"),
-        ],
-        ids=[
-            "narrower-amplitudes", "steps-beyond-t_max", "float-steps", "negative-t_max",
-            "bool-amplitudes", "string-amplitudes", "object-amplitudes",
-            "clongdouble-amplitudes", "nan-amplitudes",
-        ],
+        "field, value, message", REASSIGNED_FIELDS.values(), ids=REASSIGNED_FIELDS
     )
     def test_reassigned_state_rejected_before_any_step(self, monkeypatch, field, value, message):
         monkeypatch.setattr(core, "_walk_steps", lambda *args: pytest.fail("a step ran"))
@@ -1334,6 +1343,15 @@ class TestCheckState:
     @pytest.mark.parametrize("state", [None, np.zeros((2, 3))], ids=["none", "array"])
     def test_rejects_what_is_not_a_walk_state(self, state):
         with pytest.raises(InvalidParameterError, match="state must be a WalkState"):
+            check_state(state)
+
+    @pytest.mark.parametrize(
+        "field, value, message", REASSIGNED_FIELDS.values(), ids=REASSIGNED_FIELDS
+    )
+    def test_rejects_a_reassigned_field_before_any_check(self, field, value, message):
+        state = symmetric_state(3)
+        setattr(state, field, value)
+        with pytest.raises(InvalidParameterError, match=message):
             check_state(state)
 
     @pytest.mark.parametrize("source, message", BROKEN_STATES.values(), ids=BROKEN_STATES)

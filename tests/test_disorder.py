@@ -54,6 +54,13 @@ class TestParameterRange:
         with pytest.raises(InvalidParameterError):
             ParameterRange(0.0, math.inf)
 
+    def test_width_beyond_the_float_range_rejected(self):
+        # both bounds are finite, but high - low overflows to inf, which would
+        # make every angle of a schedule inf
+        with pytest.raises(InvalidParameterError, match="finite width"):
+            ParameterRange(-1e308, 1e308)
+        assert ParameterRange(0.0, 1e308).width == 1e308
+
     @pytest.mark.parametrize(
         "bad", [True, False, np.True_, "x", "1.5", None, math.inf], ids=repr
     )
