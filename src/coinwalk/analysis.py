@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -252,9 +251,8 @@ def spreading_exponent(series: list[tuple[float, float]]) -> float:
     if len(series) < 3:
         raise InvalidParameterError(f"need at least 3 points, got {len(series)}")
     for point in series:
-        if not (isinstance(point, (tuple, list, np.ndarray)) and len(point) == 2 and all(
-            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in point
-        )):
+        if not (isinstance(point, (tuple, list, np.ndarray)) and len(point) == 2
+                and all(map(np.isscalar, point))):
             raise InvalidParameterError(f"a point must be a (t, variance) pair, got {point!r}")
     t, v = zip(*series)
     t, v = finite_array("t", t, np.float64), finite_array("variance", v, np.float64)
@@ -394,8 +392,7 @@ def run_ensembles(
         If a realization's total probability deviates from 1 by more than
         ``NORM_DRIFT_LIMIT``.
     """
-    if not isinstance(initial, InitialStateParams):
-        raise InvalidParameterError(f"initial must be an InitialStateParams, got {initial!r}")
+    instance_of("initial", initial, InitialStateParams)
     if not isinstance(track_per_step, (bool, np.bool_)):
         raise InvalidParameterError(f"track_per_step must be a bool, got {track_per_step!r}")
     if not isinstance(ensembles, Sequence):

@@ -60,6 +60,9 @@ _DEFAULTS = {
 
 _RANGE_FLAGS = ("xi_range", "theta_range", "zeta_range")
 
+#: The flags a recipe fixes: it walks its own presets and lengths.
+_RECIPE_FIXED = ("steps", "preset", *_RANGE_FLAGS)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -172,9 +175,13 @@ def _load_config_file(path: str, known: set[str]) -> dict:
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Resolve flags, optional config file, and defaults into an ExperimentConfig.
 
-    Explicit flags override config-file values, which override the built-in
-    defaults (steps=100, delta=phi=pi/2, preset=hadamard-ordered,
-    realizations=1, seed=0, format=csv).
+    One merge states the precedence: the values given are the config
+    file's, overlaid by every flag given on the command line, and every
+    setting is read from the built-in defaults (steps=100, delta=phi=pi/2,
+    preset=hadamard-ordered, realizations=1, seed=0, format=csv) overlaid
+    by the values given.  A recipe rejects any value given, by flag or by
+    file, for a setting it fixes (``_RECIPE_FIXED``), and a file's
+    ``"recipe": null`` means no recipe.
 
     Raises
     ------
@@ -187,56 +194,44 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     ns = build_parser().parse_args(argv)
     # every flag but --config may also come from the file
     known = vars(ns).keys() - {"config"}
-    file_values = _load_config_file(ns.config, known) if ns.config else {}
+    given = _load_config_file(ns.config, known) if ns.config else {}
+    given |= {name: getattr(ns, name) for name in known if getattr(ns, name) is not None}
+    values = _DEFAULTS | given
 
-    def pick(name: str):
-        flag_value = getattr(ns, name, None)
-        if flag_value is not None:
-            return flag_value
-        if name in file_values:
-            return file_values[name]
-        return _DEFAULTS.get(name)
-
-    recipe = pick("recipe")
+    recipe = values.get("recipe")
     if recipe is not None and recipe not in RECIPE_NAMES:
         raise InvalidParameterError(f"recipe must be one of {RECIPE_NAMES}, got {recipe!r}")
-    if recipe is not None:
-        fixed = ["steps", "preset", *_RANGE_FLAGS]
-        offending = [
-            name for name in fixed
-            if getattr(ns, name, None) is not None or name in file_values
-        ]
-        if offending:
-            flags = ", ".join("--" + name.replace("_", "-") for name in offending)
-            raise InvalidParameterError(f"{flags}: fixed by --recipe {recipe}; drop the flag")
+    if recipe is not None and (offending := [name for name in _RECIPE_FIXED if name in given]):
+        flags = ", ".join("--" + name.replace("_", "-") for name in offending)
+        raise InvalidParameterError(f"{flags}: fixed by --recipe {recipe}; drop the flag")
 
-    out = pick("out")
+    out = values.get("out")
     if out is None:
         raise InvalidParameterError("--out is required")
     if not isinstance(out, str):
         raise InvalidParameterError(f"--out must be a path string, got {out!r}")
 
-    steps = exact_count("--steps", pick("steps"), 1)
-    realizations = exact_count("--realizations", pick("realizations"), 1)
-    master_seed = exact_int("--seed", pick("seed"))
-    delta = finite_real("--delta", pick("delta"))
-    phi = finite_real("--phi", pick("phi"))
+    steps = exact_count("--steps", values["steps"], 1)
+    realizations = exact_count("--realizations", values["realizations"], 1)
+    master_seed = exact_int("--seed", values["seed"])
+    delta = finite_real("--delta", values["delta"])
+    phi = finite_real("--phi", values["phi"])
     # the seed mixer works mod 2**64, so a larger seed would alias a smaller one
     if not 0 <= master_seed < 2**64:
         raise InvalidParameterError(f"--seed must lie in [0, 2**64), got {master_seed}")
 
-    fmt = str(pick("format"))
+    fmt = str(values["format"])
     if fmt not in ("csv", "json"):
         raise InvalidParameterError(f"--format must be csv or json, got {fmt!r}")
 
-    preset = str(pick("preset"))
+    preset = str(values["preset"])
     if preset not in PRESET_NAMES:
         raise InvalidParameterError(f"--preset must be one of {PRESET_NAMES}, got {preset!r}")
     base = preset_spec(preset)
     overrides = {
         name: _parse_range("--" + name.replace("_", "-"), raw)
         for name in _RANGE_FLAGS
-        if (raw := pick(name)) is not None
+        if (raw := values.get(name)) is not None
     }
 
     return ExperimentConfig(
@@ -314,7 +309,7 @@ def _write_meta(path: Path, config: ExperimentConfig, outputs: list[str]) -> Non
     }
     if config.recipe is not None:
         # a recipe walks its own presets and lengths, not these defaults
-        payload["parameters"].update(dict.fromkeys(["steps", "preset", *_RANGE_FLAGS, "mode"]))
+        payload["parameters"].update(dict.fromkeys([*_RECIPE_FIXED, "mode"]))
     _write_json(path, payload)
 
 

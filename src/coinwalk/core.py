@@ -85,13 +85,17 @@ def exact_count(name: str, value, floor: int = 0) -> int:
 def instance_of(name: str, value, cls: type):
     """Return ``value`` if it is an instance of ``cls``, else raise.
 
+    The message reads "{name} must be a {cls}", or "an" before a class
+    name that starts with a vowel.
+
     Raises
     ------
     InvalidParameterError
         If ``value`` is not a ``cls``, ``None`` included.
     """
     if not isinstance(value, cls):
-        raise InvalidParameterError(f"{name} must be a {cls.__name__}, got {value!r}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise InvalidParameterError(f"{name} must be {article} {cls.__name__}, got {value!r}")
     return value
 
 
@@ -103,21 +107,33 @@ def finite_array(name: str, value, dtype: type) -> np.ndarray:
     strings, objects (a Python int beyond uint64 included) and wider types
     such as longdouble are rejected rather than converted or narrowed
     (``np.asarray([True], float)`` would silently give 1.0, ``["1"]`` 1.0).
-    This is the one rule for every array the package reads.
+    So is a bool among numbers in input that is not an ndarray
+    (``np.asarray([True, 0.5])`` would give 1.0), and nesting of uneven
+    lengths.  This is the one rule for every array the package reads.
 
     Raises
     ------
     InvalidParameterError
-        If ``value`` does not become such a numpy array, or holds a value
-        that is not finite; the message names the first such value.
+        If ``value`` does not become such a numpy array, or holds a bool or
+        a value that is not finite; the message names the argument, and the
+        first such value or the dtype.
     """
-    out = np.asarray(value)
-    if out.dtype.kind not in "iufc" or not np.can_cast(out.dtype, dtype):
+    def unfit(got: str) -> InvalidParameterError:
         kinds = ("real integers or floats" if dtype == np.float64
                  else "integers, floats or complex numbers")
-        raise InvalidParameterError(
-            f"{name} must be {kinds} that fit {np.dtype(dtype)}, got dtype {out.dtype}"
-        )
+        return InvalidParameterError(f"{name} must be {kinds} that fit {dtype.__name__}, got {got}")
+
+    try:
+        out = np.asarray(value)
+    except ValueError:  # nesting of uneven lengths
+        raise unfit("ragged nesting") from None
+    if out.dtype.kind not in "iufc" or not np.can_cast(out.dtype, dtype):
+        raise unfit(f"dtype {out.dtype}")
+    if not isinstance(value, np.ndarray):
+        # np.asarray reads a bool among numbers as 1 or 0
+        for element in np.asarray(value, dtype=object).flat:
+            if isinstance(element, (bool, np.bool_)):
+                raise unfit(f"bool {element!r}")
     if not (finite := np.isfinite(out)).all():
         raise InvalidParameterError(f"{name} must be finite, got {out[~finite][0].item()!r}")
     return out.astype(dtype, copy=False)
@@ -262,8 +278,7 @@ def build_initial_state(params: InitialStateParams, t_max: int) -> WalkState:
         If ``params`` is not an :class:`InitialStateParams`, or ``t_max`` is
         negative or not an integer.
     """
-    if not isinstance(params, InitialStateParams):
-        raise InvalidParameterError(f"params must be an InitialStateParams, got {params!r}")
+    instance_of("params", params, InitialStateParams)
     t_max = exact_count("t_max", t_max)
     amps = np.zeros((2, 2 * t_max + 1), dtype=np.complex128)
     half = params.delta / 2.0

@@ -36,6 +36,8 @@ from coinwalk.errors import InvalidParameterError, NormDriftError
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
 SYM = InitialStateParams()
+#: What ``finite_array`` asks of a float64 argument, as its messages say it.
+REALS = "real integers or floats that fit float64"
 
 
 def ordered_distribution(theta: float, steps: int) -> PositionDistribution:
@@ -143,15 +145,20 @@ class TestDistributionFromState:
             PositionDistribution(t=1, p=p)
 
     @pytest.mark.parametrize(
-        "p",
+        "p, got",
         [
-            [True], np.array([False, True, False]), ["1"], np.array(["0", "1", "0"]), [None],
-            np.array([0.0, 1.0, 0.0], dtype=np.longdouble),
+            ([True], ""), (np.array([False, True, False]), ""), (["1"], ""),
+            (np.array(["0", "1", "0"]), ""), ([None], ""),
+            (np.array([0.0, 1.0, 0.0], dtype=np.longdouble), ""),
+            ([0.0, True, 0.0], " that fit float64, got bool True$"),
+            ([0.0, np.True_, 0.0], " that fit float64, got bool np.True_$"),
+            ([[0.0], [1.0, 0.0]], " that fit float64, got ragged nesting$"),
         ],
-        ids=["bool", "numpy-bool", "string", "numpy-string", "object", "longdouble"],
+        ids=["bool", "numpy-bool", "string", "numpy-string", "object", "longdouble",
+             "mixed-bool", "mixed-numpy-bool", "ragged"],
     )
-    def test_probabilities_that_are_not_integers_or_floats_rejected(self, p):
-        message = "^probabilities must be real integers or floats"
+    def test_probabilities_that_are_not_integers_or_floats_rejected(self, p, got):
+        message = "^probabilities must be real integers or floats" + got
         with pytest.raises(InvalidParameterError, match=message):
             PositionDistribution(t=0, p=p)
 
@@ -262,19 +269,21 @@ class TestLocalizationLength:
             localization_length(np.ones(3), np.ones(4))
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad, got",
         [
-            True, np.True_, 1 + 0j, "2.0", None, np.array([1.0 + 0j, 2.0]),
-            np.longdouble(2.0), np.array([1.0, 2.0], dtype=np.longdouble),
+            (True, "dtype "), (np.True_, "dtype "), (1 + 0j, "dtype "), ("2.0", "dtype "),
+            (None, "dtype "), (np.array([1.0 + 0j, 2.0]), "dtype "),
+            (np.longdouble(2.0), "dtype "), (np.array([1.0, 2.0], dtype=np.longdouble), "dtype "),
+            ([True, 2.0], "bool True$"), ([[1.0], [1.0, 2.0]], "ragged nesting$"),
         ],
         ids=["bool", "numpy-bool", "complex", "string", "none", "complex-array",
-             "longdouble", "longdouble-array"],
+             "longdouble", "longdouble-array", "mixed-bool", "ragged"],
     )
     @pytest.mark.parametrize("named", ["disordered", "ordered"])
-    def test_non_real_spread_rejected(self, bad, named):
+    def test_non_real_spread_rejected(self, bad, got, named):
         good = np.ones(np.shape(bad)) if isinstance(bad, np.ndarray) else 2.0
         args = (bad, good) if named == "disordered" else (good, bad)
-        message = f"^{named} spread must be real integers or floats that fit float64, got dtype "
+        message = f"^{named} spread must be real integers or floats that fit float64, got {got}"
         with pytest.raises(InvalidParameterError, match=message):
             localization_length(*args)
 
@@ -347,16 +356,18 @@ class TestSpreadingExponent:
             ([(1,), (2,), (3,)], None),
             ([(1, 1.0), "24", (4, 4.0)], None),
             ([(1, 1.0), (2, 2.0, 9.0), (4, 4.0)], None),
-            ([(True, 1.0), (2, 2.0), (4, 4.0)], None),
-            ([(1, 1.0), (2, False), (4, 4.0)], None),
-            ([(1, 1.0), ("2", 2.0), (4, 4.0)], None),
+            ([(True, 1.0), (2, 2.0), (4, 4.0)], f"^t must be {REALS}, got bool True$"),
+            ([(1, 1.0), (2, False), (4, 4.0)], f"^variance must be {REALS}, got bool False$"),
+            ([(1, 1.0), ("2", 2.0), (4, 4.0)], f"^t must be {REALS}, got dtype <U21$"),
             ([(1, 1.0), 2.0, (4, 4.0)], None),
+            # every t a sequence: np.asarray would read them as one 2-D array
+            ([([1], 1.0), ([2], 2.0), ([4], 4.0)], None),
             # a real that float64 cannot hold is not narrowed
             ([(1, 1.0), (np.longdouble(2), 2.0), (4, 4.0)], "^t must be real integers or floats"),
             ([(1, 1.0), (2, np.longdouble(2)), (4, 4.0)], "^variance must be real integers"),
         ],
         ids=["one-item", "string", "three-items", "bool-t", "bool-variance",
-             "string-t", "number", "longdouble-t", "longdouble-variance"],
+             "string-t", "number", "nested-t", "longdouble-t", "longdouble-variance"],
     )
     def test_point_that_is_not_a_pair_of_reals_rejected(self, series, message):
         message = message or r"must be a \(t, variance\) pair"

@@ -151,6 +151,44 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "config, flags, named",
         [
+            ({"steps": 50}, [], "--steps"),
+            ({"theta_range": "0:1"}, ["--steps", "50"], "--steps, --theta-range"),
+            ({}, ["--theta-range", "0:1", "--steps", "50"], "--steps, --theta-range"),
+        ],
+        ids=["file-only", "file-and-flag", "two-flags"],
+    )
+    def test_recipe_names_every_fixed_key_given(self, tmp_path, capsys, config, flags, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--recipe", "fig1", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {named}: fixed by --recipe fig1; drop the flag\n"
+        assert not out.exists()
+
+    def test_null_recipe_in_config_is_no_recipe(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"recipe": None, "steps": 5}))
+        config = parse_config(["--config", str(cfg), "--out", "d.csv"])
+        assert (config.recipe, config.steps) == (None, 5)
+
+    @pytest.mark.parametrize(
+        "config, flags, expected",
+        [
+            ({}, [], ("csv", 0)),
+            ({"format": "json", "seed": 9}, [], ("json", 9)),
+            ({"format": "json", "seed": 9}, ["--format", "csv", "--seed", "3"], ("csv", 3)),
+        ],
+        ids=["default", "file-beats-default", "flag-beats-file"],
+    )
+    def test_format_and_seed_precedence(self, tmp_path, config, flags, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        config = parse_config(["--config", str(cfg), *flags, "--out", "d.csv"])
+        assert (config.format, config.master_seed) == expected
+
+    @pytest.mark.parametrize(
+        "config, flags, named",
+        [
             ({"steps": 2.9}, [], "--steps"),
             ({"realizations": True}, [], "--realizations"),
             ({}, ["--seed", str(2**64)], "--seed"),

@@ -242,11 +242,14 @@ class TestCoinMatrix:
             np.zeros((2, 3), dtype=np.complex128),
             [[0.0, 0.5, None]],
             np.zeros((2, 3), dtype=np.longdouble),
+            [[True, 0.0, 0.5]],
+            [[0.0, 0.1, 0.2], [0.3, 0.4]],
         ],
-        ids=["bool", "numpy-bool", "string", "complex", "complex-array", "object", "longdouble"],
+        ids=["bool", "numpy-bool", "string", "complex", "complex-array", "object", "longdouble",
+             "mixed-bool", "ragged"],
     )
     def test_angles_that_are_not_integers_or_floats_rejected(self, bad):
-        message = "^coin angles must be real integers or floats"
+        message = "^coin angles must be real integers or floats that fit float64, got "
         with pytest.raises(InvalidParameterError, match=message):
             coin_matrices(bad)
 
@@ -370,6 +373,12 @@ REASSIGNED_FIELDS = {
     ),
     "nan-amplitudes": (
         "amplitudes", np.full((2, 7), complex(0, np.nan)), "amplitudes must be finite"
+    ),
+    "mixed-bool-amplitudes": (
+        "amplitudes", [[0, 0, 0, True, 0, 0, 0], [0] * 7], "amplitudes must be .*, got bool True$"
+    ),
+    "ragged-amplitudes": (
+        "amplitudes", [[0] * 7, [0] * 6], "amplitudes must be .*, got ragged nesting$"
     ),
 }
 
@@ -525,8 +534,10 @@ class TestEvolve:
             identity.astype(np.clongdouble),
             np.full((1, 2, 2), np.nan),
             np.array([[[1, np.inf], [0, 1]]]),
+            [[[True, 0], [0, 1.0]]],
+            [[[1, 0], [0]]],
         ):
-            with pytest.raises(InvalidParameterError):
+            with pytest.raises(InvalidParameterError, match="^coins must "):
                 evolve(symmetric_state(3), bad)
 
     @pytest.mark.parametrize(
