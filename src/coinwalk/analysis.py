@@ -47,8 +47,10 @@ __all__ = [
 #: Largest tolerated deviation of a distribution's total probability from 1.
 NORM_DRIFT_LIMIT = 1e-6
 
-#: Bytes one chunk of an ensemble may hold in two (2, width) complex arrays
-#: per realization; the chunk size is this over those bytes (at least 1).
+#: Budget of an ensemble chunk, counted as one (2, width) complex array per
+#: realization, and of a tracking block's light cones (see
+#: :func:`_chunk_size` and :func:`_block_steps`).  A chunk really holds about
+#: 3.8 times this: 40 theta-high walks of 200 steps peak at 1.96 MB.
 _CHUNK_BYTES = 512 * 1024
 
 
@@ -297,14 +299,18 @@ def metrics_from_distribution(dist: PositionDistribution) -> RunMetrics:
 
 
 def _chunk_size(width: int) -> int:
-    """Realizations per chunk: ``_CHUNK_BYTES`` over two (2, width) complex arrays each.
+    """Realizations per chunk: ``_CHUNK_BYTES`` over one (2, width) complex array each.
 
-    For a walk from one site the kernel's two half-lattice buffers take
-    about one such array per realization, the chunk's coins about one more
-    and the final reduction half of one; the start state is one array
-    broadcast to the whole chunk.
+    That is 40 walks of 200 steps.  For a walk from one site the kernel's
+    two half-lattice buffers take about one such array per realization, the
+    chunk's coins one more, their float64 copy when all are real half of
+    one, the angles they come from 0.4 and the final reduction's cone and
+    probability row 0.75: about 3.8 arrays, 48 KB for a walk of 200 steps
+    (``tracemalloc`` peak).  The start state is one array broadcast to the
+    whole chunk.  The per-step calls cost the same for any chunk, so
+    chunks of 40 walks pay them half as often per walk as chunks of 20.
     """
-    return max(1, _CHUNK_BYTES // (2 * 2 * width * np.dtype(np.complex128).itemsize))
+    return max(1, _CHUNK_BYTES // (2 * width * np.dtype(np.complex128).itemsize))
 
 
 def _block_steps(walks: int, steps: int) -> int:

@@ -287,13 +287,23 @@ def build_initial_state(params: InitialStateParams, t_max: int) -> WalkState:
     return WalkState(t_max=t_max, amplitudes=amps, steps_taken=0)
 
 
-#: Steps between flushes of subnormal amplitude parts to +0.0, and so between
-#: the changes of the kernel's window, which follows the support each flush
-#: finds (see :func:`_walk_steps`).  Periods of 32 to 128 timed the same on
-#: the 12,001-site Hadamard walk (16 and 256 were slower); 128 flushes a
-#: 200-step ensemble once instead of three times, which measured about 2 %
-#: faster.
+#: Steps between flushes of subnormal amplitude parts to +0.0, counted from
+#: the walk's start, and so between the changes of a single walk's window,
+#: which follows the support each flush finds (see :func:`_walk_steps`).
+#: The flush steps are part of the output bits: flushing at other steps
+#: moves some amplitude parts of a long walk.  Periods of 32 to 128 timed
+#: the same on the 12,001-site Hadamard walk (16 and 256 were slower); 128
+#: flushes a 200-step ensemble once instead of three times, which measured
+#: about 2 % faster.
 _FLUSH_PERIOD = 128
+
+#: Steps between the renewals of the window of a batch of two walks or
+#: more, counted from the walks' start like ``_FLUSH_PERIOD``, which it
+#: divides.  A window renewed every 16 steps covers the light cone of those
+#: steps only: a 200-step theta-high walk multiplies 21,568 sublattice
+#: columns instead of 30,784.  A single walk renews at flushes only: renewing
+#: every 16 steps measured 1.04 to 1.10 times slower on one Hadamard walk.
+_RENEW_PERIOD = 16
 
 
 def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
@@ -327,17 +337,19 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     at j, odd to even keeps row 0 at j and moves row 1 to j + 1.  Only the
     input's occupied columns [first, last] are loaded into the zeroed
     buffers, and the support is found again after every flush (below).  The
-    window, the indices [lo, hi) that every step multiplies, is set before
-    step 1 and after each flush that finds a support, and kept until the
-    next flush step or the last step: it covers the columns that the light
-    cone from the support last found reaches by then, [first - s + 1,
-    last + s - 1] for the input's up to step s, widened outward to whole
-    blocks of 4 indices; outside it every amplitude is exactly zero.  The
-    amplitudes equal those of the full-lattice zgemm product
-    zero-padded to whole blocks of 4 columns, so they do not depend on the
-    lattice width or on where the walk sits inside a longer one.  Two rules
-    keep this (checked with numpy 2.4.6 and OpenBLAS 0.3.31; the kernel
-    tests pin both):
+    window, the indices [lo, hi) that every step multiplies, is renewed
+    before step 1, after each flush step and, in a batch of two walks or
+    more, after each step whose count ``steps_taken + k`` is a multiple of
+    ``_RENEW_PERIOD``.  It is kept until the next renewal or the last step,
+    and covers the columns that the light cone from the support last found
+    reaches by then, [first - s + 1, last + s - 1] for the input's up to
+    step s, widened outward to whole blocks of 4 indices; outside it every
+    amplitude is exactly zero.  The amplitudes equal those of the
+    full-lattice zgemm product zero-padded to whole blocks of 4 columns and
+    flushed at the same steps (below), so they do not depend on the lattice
+    width, on the window or on where the walk sits inside a longer one.  Two
+    rules keep this (checked with numpy 2.4.6 and OpenBLAS 0.3.31; the
+    kernel tests pin both):
 
     (i) a column inside whole blocks of 4 gets the bits the full product
         gives it wherever the block starts, so every window starts on a
@@ -362,16 +374,20 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     edge of the support.  So the other parity's buffer, which holds the
     state two steps back and takes the next step's landing, is cleared at
     every flush that finds a support: the next window need not overwrite
-    all of it.
+    all of it.  Between flushes a window only grows, so it overwrites
+    whatever the last one wrote.
 
-    The amplitudes equal those of the padded product except at the
-    flushed parts and beside them, by less than 1e-306 (worst seen 8e-307;
-    no differing amplitude exceeded 3e-291): far below half an ulp of any
-    amplitude whose square is not 0.  Every |a|^2, distribution and moment
-    was byte-identical on every case checked: the near-swap and random
-    walks of the tests, every pinned output and every captured benchmark
-    operation.  Exact zeros at sites the window skipped or flushed are +0
-    where the full product may give -0.
+    The amplitudes equal, bit for bit, those of the padded product flushed
+    over the whole lattice after the same steps; exact zeros at sites the
+    window skipped are +0 where the full product may give -0.  The flush
+    steps are thus part of the output bits.  Against the padded product
+    without flushes, each flushed part perturbs the amplitudes beside it,
+    and on a long walk the perturbation reaches |a|^2: on the 6,000-step
+    full-range walk of master seed 0, 5,070 amplitude parts differ, by up
+    to 6.3e-132, and ``p`` differs at 320 sites, each below 2.1e-231, by at
+    most 8.4e-14 relative; the first such ``p`` appears between t = 5,250
+    and 5,500, and the variance keeps every bit.  Flushing every 64 steps
+    instead moves 5,571 parts, by up to 8.2e-113.
 
     Parameters
     ----------
@@ -425,15 +441,19 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     halves[0][..., first // 2 : last // 2 + 1] = amps[..., first : last + 1 : 2]
     yield steps_taken, halves[0]
 
+    # a batch renews its window between flushes too; a single walk, which
+    # measured slower for it, keeps one window from flush to flush
+    periods = (_FLUSH_PERIOD, _RENEW_PERIOD) if amps[..., 0, 0].size > 1 else (_FLUSH_PERIOD,)
     renew = 1
     for k, coin in enumerate(coins, start=1):
         if k == renew:
-            # Steps k to `stop`, the next flush step or the last, read lattice
-            # columns [left - stop, right + stop], of indices [(left - stop)
-            # // 2, (right + stop) // 2] on either parity, which the window
-            # widens to whole blocks of 4.  The light cone fits the lattice,
-            # so the window lies in [0, size).
-            stop = min(k - 1 + _FLUSH_PERIOD - (steps_taken + k - 1) % _FLUSH_PERIOD, len(coins))
+            # Steps k to `stop`, the next step that is a multiple of a period
+            # or the last, read lattice columns [left - stop, right + stop],
+            # of indices [(left - stop) // 2, (right + stop) // 2] on either
+            # parity, which the window widens to whole blocks of 4.  The light
+            # cone fits the lattice, so the window lies in [0, size).
+            stop = min(len(coins), *(k - 1 + p - (steps_taken + k - 1) % p for p in periods))
+            renew = stop + 1
             lo = (left - stop) // 2 // 4 * 4
             hi = -(-((right + stop) // 2 + 1) // 4) * 4
             # On steps k = s mod 2 the walks are read from buffers[1 - s], of
@@ -451,14 +471,14 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
             parts = result.view(np.float64)
             np.copyto(parts, 0.0, where=np.abs(parts) < np.finfo(np.float64).tiny)
             occupied = np.flatnonzero(halves[k % 2].any(axis=rows))
-            # a state of subnormal parts only flushes to zero and keeps its window
+            # a state of subnormal parts only flushes to zero and keeps its light cone
             if occupied.size:
                 # index j of the landed half is lattice column 2j + (first + k) % 2
                 start, end = (2 * occupied[[0, -1]] + (first + k) % 2).tolist()
                 # the next step lands on the state two steps back, which the
                 # next window may no longer cover
                 buffers[1 - k % 2].fill(0)
-                left, right, renew = start + k + 1, end - k - 1, k + 1
+                left, right = start + k + 1, end - k - 1
         yield steps_taken + k, halves[k % 2]
 
 

@@ -517,11 +517,25 @@ class TestRunEnsemble:
     def test_results_do_not_depend_on_chunk_size(self, monkeypatch, chunk, track):
         spec = preset_spec("full-range")
         steps, width = 24, 49
-        # the budget holds exactly `chunk` realizations' two complex (2, width) buffers
-        monkeypatch.setattr(analysis, "_CHUNK_BYTES", chunk * 2 * 2 * width * 16)
+        # the budget holds exactly `chunk` realizations' complex (2, width) arrays
+        monkeypatch.setattr(analysis, "_CHUNK_BYTES", chunk * 2 * width * 16)
         assert analysis._chunk_size(width) == chunk
         stats = run_ensemble(spec, SYM, steps, 37, master_seed=2, track_per_step=track)
         assert_same_ensemble(stats, reference_ensemble(spec, steps, 37, 2, track))
+
+    def test_module_budget_runs_theta_high_in_chunks_of_40(self, monkeypatch):
+        # 200 walks of 200 steps run as 5 chunks of 40, and fig4's four
+        # tracked walks of 400 steps reduce 10 states to a block
+        chunks = []
+
+        def spied(amps, coins, steps_taken, _real=analysis._walk_steps):
+            chunks.append(amps.shape[:-2])
+            return _real(amps, coins, steps_taken)
+
+        monkeypatch.setattr(analysis, "_walk_steps", spied)
+        run_ensemble(preset_spec("theta-high"), SYM, 200, 200, master_seed=0)
+        assert chunks == [(40,)] * 5
+        assert analysis._block_steps(4, 400) == 10
 
     @pytest.mark.parametrize(
         "steps, realizations",
@@ -578,7 +592,7 @@ class TestRunEnsembles:
         steps, width = 30, 61
         if chunk is not None:
             # the 8 walks split inside the theta-high triples and across triples
-            monkeypatch.setattr(analysis, "_CHUNK_BYTES", chunk * 2 * 2 * width * 16)
+            monkeypatch.setattr(analysis, "_CHUNK_BYTES", chunk * 2 * width * 16)
             assert analysis._chunk_size(width) == chunk
         triples = self.triples(steps)
         batched = run_ensembles(triples, SYM, 6, track_per_step=track)
@@ -599,7 +613,7 @@ class TestRunEnsembles:
         width = 63
         if chunk is not None:
             # the batch's lattice is that of its longest triple, 31 steps
-            monkeypatch.setattr(analysis, "_CHUNK_BYTES", chunk * 2 * 2 * width * 16)
+            monkeypatch.setattr(analysis, "_CHUNK_BYTES", chunk * 2 * width * 16)
             assert analysis._chunk_size(width) == chunk
         triples = [(preset_spec(name), steps, count) for name, steps, count in self.MIXED]
         batched = run_ensembles(triples, SYM, 6)
@@ -773,10 +787,12 @@ class TestTrackingBlocks:
 
     def test_chunks_that_split_pairs(self, monkeypatch):
         steps, width = 24, 49
-        # chunks of 3 of the 8 walks, [H T T] [T F T] [T T], and blocks of 4
-        monkeypatch.setattr(analysis, "_CHUNK_BYTES", 12000)
+        # chunks of 3 of the 8 walks, [H T T] [T F T] [T T], and blocks of 2:
+        # a budget that holds 3 walks' (2, width) arrays holds 2 states'
+        # cones of 3 walks, one (2, steps + 1) array each
+        monkeypatch.setattr(analysis, "_CHUNK_BYTES", 3 * 2 * width * 16)
         assert analysis._chunk_size(width) == 3
-        assert analysis._block_steps(3, steps) == 4
+        assert analysis._block_steps(3, steps) == 2
         triples = TestRunEnsembles.triples(steps)
         for stats, (spec, _, realizations) in zip(run_ensembles(triples, SYM, 9, True), triples):
             assert_same_ensemble(stats, reference_ensemble(spec, steps, realizations, 9, True))
