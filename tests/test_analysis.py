@@ -524,8 +524,9 @@ class TestRunEnsemble:
         assert_same_ensemble(stats, reference_ensemble(spec, steps, 37, 2, track))
 
     def test_module_budget_runs_theta_high_in_chunks_of_40(self, monkeypatch):
-        # 200 walks of 200 steps run as 5 chunks of 40, and fig4's four
-        # tracked walks of 400 steps reduce 10 states to a block
+        # 200 walks of 200 steps run as 5 chunks of 40; fig4's four tracked
+        # walks of 400 steps reduce 10 states to a block, and a full chunk
+        # of 20 such walks 2
         chunks = []
 
         def spied(amps, coins, steps_taken, _real=analysis._walk_steps):
@@ -536,6 +537,7 @@ class TestRunEnsemble:
         run_ensemble(preset_spec("theta-high"), SYM, 200, 200, master_seed=0)
         assert chunks == [(40,)] * 5
         assert analysis._block_steps(4, 400) == 10
+        assert analysis._chunk_size(801) == 20 and analysis._block_steps(20, 400) == 2
 
     @pytest.mark.parametrize(
         "steps, realizations",

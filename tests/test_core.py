@@ -1262,6 +1262,13 @@ class TestFlushOnALongWalk:
     STEPS = 6000
     P_RELATIVE_BOUND = 1e-12
 
+    @pytest.mark.parametrize("steps", [300, 301])
+    def test_unflushed_walk_is_a_reference_step_loop(self, steps):
+        # both parities, on a lattice the walk fills to its edges
+        coins = coin_matrices(sample_schedule(preset_spec("full-range"), steps, 0))
+        start = symmetric_state(steps).amplitudes
+        assert same_bits(unflushed_walk(start, coins), reference_walks(start, coins))
+
     def test_full_range_walk(self):
         coins = coin_matrices(sample_schedule(preset_spec("full-range"), self.STEPS, 0))
         start = symmetric_state(self.STEPS)

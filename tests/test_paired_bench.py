@@ -48,11 +48,12 @@ def test_report_line():
 
 
 def test_pairs_alternate_which_side_runs_first(monkeypatch, tmp_path, capsys):
+    # each run lasts the run_seconds of the change's BENCHMARK.json
     parent, change = tmp_path / "parent", tmp_path / "change"
     for checkout in (parent, change):
         checkout.mkdir()
     metrics = [{"name": "wall_s", "better": "lower"}]
-    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 2, "end_to_end": metrics}))
     calls = []
 
     def fake_run(checkout, workload, seed, seconds):
@@ -62,15 +63,20 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch, tmp_path, capsys):
                 "metrics": {"wall_s": {"value": wall + seed / 100, "unit": "s"}}}
 
     monkeypatch.setattr(paired_bench, "run", fake_run)
-    argv = [str(parent), str(change), "--workload", "w", "--pairs", "3", "--seconds", "2",
-            "--first-seed", "4"]
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "3", "--first-seed", "4"]
     assert paired_bench.main(argv) == 0
     assert calls == [
         ("parent", "w", 4, 2), ("change", "w", 4, 2),
         ("change", "w", 5, 2), ("parent", "w", 5, 2),
         ("parent", "w", 6, 2), ("change", "w", 6, 2),
     ]
-    out = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "pair 1 of 3 (seed 4): wall_s 2.04 -> 1.04",
+        "pair 2 of 3 (seed 5): wall_s 2.05 -> 1.05",
+        "pair 3 of 3 (seed 6): wall_s 2.06 -> 1.06",
+    ]
+    out = captured.out.splitlines()
     assert out[:2] == ["parent: 0 of 3 operations failed, 0 of 3 runs not correct",
                        "change: 0 of 3 operations failed, 0 of 3 runs not correct"]
     assert out[2].startswith("wall_s: parent 2.05 ") and out[2].endswith("won 3 of 3, gain claimed: yes")

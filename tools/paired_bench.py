@@ -1,16 +1,19 @@
 """Run ``bench/run.py`` alternately in two checkouts and compare each metric.
 
     python3 tools/paired_bench.py PARENT CHANGE --workload W [--pairs 10]
-                                  [--seconds 5] [--first-seed 0]
+                                  [--first-seed 0]
 
 Pair i runs ``python3 <checkout>/bench/run.py --workload W --seed S
---seconds N --trace 0`` once in each checkout, with S = first seed + i; the
-parent runs first in even pairs and the change first in odd ones.  Each
-run's last line of output is its JSON result.  For each end-to-end metric
-the script prints each side's median and quartiles, and how many pairs the
-change won (ties count for neither side).  A gain is claimed only when the
-change wins at least nine tenths of the pairs and its median is better than
-the parent's by more than the distance between the parent's quartiles.
+--seconds N --trace 0`` once in each checkout, with S = first seed + i and
+N the ``run_seconds`` of the change's ``BENCHMARK.json``; the parent runs
+first in even pairs and the change first in odd ones.  Each run's last line
+of output is its JSON result.  Each pair's values, parent -> change, go to
+standard error as the pair ends, so that pairs of several invocations can
+be pooled.  For each end-to-end metric the script prints each side's median
+and quartiles, and how many pairs the change won (ties count for neither
+side).  A gain is claimed only when the change wins at least nine tenths of
+the pairs and its median is better than the parent's by more than the
+distance between the parent's quartiles.
 
 Make the parent checkout outside the repository, from the parent commit
 (``HEAD`` while the change is not yet committed)::
@@ -77,19 +80,22 @@ def main(argv: list[str]) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=5)
     parser.add_argument("--first-seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds, metrics = spec["run_seconds"], spec["end_to_end"]
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.first_seed + i
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            results[side].append(run(checkouts[side], args.workload, seed, args.seconds))
-        print(f"pair {i + 1} of {args.pairs} (seed {seed}) done", file=sys.stderr)
+            results[side].append(run(checkouts[side], args.workload, seed, seconds))
+        values = ", ".join(
+            f"{m['name']} {results['parent'][-1]['metrics'][m['name']]['value']:.6g}"
+            f" -> {results['change'][-1]['metrics'][m['name']]['value']:.6g}" for m in metrics)
+        print(f"pair {i + 1} of {args.pairs} (seed {seed}): {values}", file=sys.stderr)
     for side, runs in results.items():
         failed = sum(r["failed"] for r in runs)
         attempted = sum(r["attempted"] for r in runs)
