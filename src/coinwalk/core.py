@@ -288,21 +288,23 @@ def build_initial_state(params: InitialStateParams, t_max: int) -> WalkState:
 
 
 #: Steps between flushes of subnormal amplitude parts to +0.0, counted from
-#: the walk's start, and so between the changes of a single walk's window,
-#: which follows the support each flush finds (see :func:`_walk_steps`).
-#: The flush steps are part of the output bits: flushing at other steps
-#: moves some amplitude parts of a long walk.  Periods of 32 to 128 timed
-#: the same on the 12,001-site Hadamard walk (16 and 256 were slower); 128
-#: flushes a 200-step ensemble once instead of three times, which measured
-#: about 2 % faster.
+#: the walk's start.  The next window grows from the support each flush
+#: finds (see :func:`_walk_steps`).  The flush steps are part of the output
+#: bits: flushing at other steps moves some amplitude parts of a long walk.
+#: Periods of 32 to 128 timed the same on the 12,001-site Hadamard walk (16
+#: and 256 were slower); 128 flushes a 200-step ensemble once instead of
+#: three times, which measured about 2 % faster.
 _FLUSH_PERIOD = 128
 
-#: Steps between the renewals of the window of a batch of two walks or
-#: more, counted from the walks' start like ``_FLUSH_PERIOD``, which it
-#: divides.  A window renewed every 16 steps covers the light cone of those
-#: steps only: a 200-step theta-high walk multiplies 21,568 sublattice
-#: columns instead of 30,784.  A single walk renews at flushes only: renewing
-#: every 16 steps measured 1.04 to 1.10 times slower on one Hadamard walk.
+#: Steps between the renewals of every walk's window, lone or batched,
+#: counted from the walk's start like ``_FLUSH_PERIOD``.  It must divide
+#: ``_FLUSH_PERIOD``, so that each flush is followed by a renewal that crops
+#: the window to the support the flush found.  A window renewed every 16
+#: steps covers the light cone of those steps only: a 200-step theta-high
+#: walk multiplies 21,568 sublattice columns instead of the 30,784 of a
+#: window renewed at flushes only.  A lone 6,000-step walk multiplies about
+#: 2 % fewer, which its 375 renewals cost back and a little more (1.02x in
+#: process); one rule keeps the loop free of a branch on batch size.
 _RENEW_PERIOD = 16
 
 
@@ -337,14 +339,14 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     at j, odd to even keeps row 0 at j and moves row 1 to j + 1.  Only the
     input's occupied columns [first, last] are loaded into the zeroed
     buffers, and the support is found again after every flush (below).  The
-    window, the indices [lo, hi) that every step multiplies, is renewed
-    before step 1, after each flush step and, in a batch of two walks or
-    more, after each step whose count ``steps_taken + k`` is a multiple of
-    ``_RENEW_PERIOD``.  It is kept until the next renewal or the last step,
-    and covers the columns that the light cone from the support last found
-    reaches by then, [first - s + 1, last + s - 1] for the input's up to
-    step s, widened outward to whole blocks of 4 indices; outside it every
-    amplitude is exactly zero.  The amplitudes equal those of the
+    window, the indices [lo, hi) that every step multiplies, is renewed by
+    one rule whatever the batch: before step 1 and after each step whose
+    count ``steps_taken + k`` is a multiple of ``_RENEW_PERIOD``, which
+    every flush step is.  It is kept until the next renewal or the last
+    step, and covers the columns that the light cone from the support last
+    found reaches by then, [first - s + 1, last + s - 1] for the input's up
+    to step s, widened outward to whole blocks of 4 indices; outside it
+    every amplitude is exactly zero.  The amplitudes equal those of the
     full-lattice zgemm product zero-padded to whole blocks of 4 columns and
     flushed at the same steps (below), so they do not depend on the lattice
     width, on the window or on where the walk sits inside a longer one.  Two
@@ -441,18 +443,16 @@ def _walk_steps(amps: np.ndarray, coins: np.ndarray, steps_taken: int):
     halves[0][..., first // 2 : last // 2 + 1] = amps[..., first : last + 1 : 2]
     yield steps_taken, halves[0]
 
-    # a batch renews its window between flushes too; a single walk, which
-    # measured slower for it, keeps one window from flush to flush
-    periods = (_FLUSH_PERIOD, _RENEW_PERIOD) if amps[..., 0, 0].size > 1 else (_FLUSH_PERIOD,)
     renew = 1
     for k, coin in enumerate(coins, start=1):
         if k == renew:
-            # Steps k to `stop`, the next step that is a multiple of a period
-            # or the last, read lattice columns [left - stop, right + stop],
-            # of indices [(left - stop) // 2, (right + stop) // 2] on either
-            # parity, which the window widens to whole blocks of 4.  The light
-            # cone fits the lattice, so the window lies in [0, size).
-            stop = min(len(coins), *(k - 1 + p - (steps_taken + k - 1) % p for p in periods))
+            # Steps k to `stop`, the next step whose count is a multiple of
+            # _RENEW_PERIOD or the last, read lattice columns
+            # [left - stop, right + stop], of indices
+            # [(left - stop) // 2, (right + stop) // 2] on either parity,
+            # which the window widens to whole blocks of 4.  The light cone
+            # fits the lattice, so the window lies in [0, size).
+            stop = min(len(coins), k - 1 + _RENEW_PERIOD - (steps_taken + k - 1) % _RENEW_PERIOD)
             renew = stop + 1
             lo = (left - stop) // 2 // 4 * 4
             hi = -(-((right + stop) // 2 + 1) // 4) * 4

@@ -28,6 +28,8 @@ from coinwalk.core import (
 from coinwalk.disorder import PRESET_NAMES, preset_spec, sample_schedule, evolve_disordered
 from coinwalk.errors import CapacityError, InvalidParameterError
 
+import column_bits
+from column_bits import BATCHES, random_amplitudes, random_unitaries
 from oracle_dense import dense_coin, dense_evolve, dense_shift
 from oracle_static import static_walk
 from walk_states import walk_states
@@ -562,23 +564,6 @@ def padded(amps: np.ndarray, columns: int) -> np.ndarray:
     return np.pad(amps, [(0, 0)] * (amps.ndim - 1) + [(pad, pad)])
 
 
-def random_amplitudes(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Amplitude on every column of ``shape``, the two outer ones included.
-
-    Stepping it needs room on either side: see :func:`padded`.
-    """
-    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    assert np.all(amps[..., [0, -1]] != 0)
-    return amps
-
-
-def random_unitaries(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Random 2x2 unitaries (QR of complex Gaussians), outside the coin family."""
-    z = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
-    q, _ = np.linalg.qr(z)
-    return q
-
-
 class TestBatchedWalkSteps:
     """Batches of walks through the step loop, against ``evolve`` on each walk."""
 
@@ -657,10 +642,11 @@ def same_values(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a, b) and same_bits(np.abs(a) ** 2, np.abs(b) ** 2)
 
 
-#: Flush periods the kernel cases run with.  A single walk's window changes
-#: only after a flush: periods of 4 and 8 move it many times within a walk
-#: of 100 steps, 64 once, and the default, 128, not at all.  A batch's also
-#: changes every 16 steps.
+#: Flush periods the kernel cases run with.  Every window is renewed every
+#: ``_RENEW_PERIOD`` (16) steps whatever the period, from the support the
+#: last flush found.  Periods of 4 and 8 flush between renewals, several
+#: times within each; 64 and the default, 128, flush right before one, 64
+#: once within a walk of 100 steps and 128 not at all.
 FLUSH_PERIODS = [4, 8, 64, core._FLUSH_PERIOD]
 
 
@@ -707,20 +693,25 @@ class TestLightConeCrop:
             assert state.steps_taken == t and same_bits(state.amplitudes, zeros)
 
     @staticmethod
-    def window_changes(calls: list, t_max: int, batch: tuple[int, ...]) -> list[int]:
-        """The steps whose window differs from the last step's, on a walk from the origin.
-
-        The walk's last step reaches both edges.  ``calls`` is a
-        ``matmul_spy`` list, emptied first.  Every window must start on a
-        multiple of 4, be whole blocks of 4 indices long and end at or
-        before `size`, the whole blocks over the even half lattice; the
-        last one must end there.
-        """
-        calls.clear()
+    def from_origin(t_max: int, batch: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Walks of shape ``batch`` at the origin and ``t_max`` coins to take them to both edges."""
         rng = np.random.default_rng(t_max)
         start = np.zeros(batch + (2, 2 * t_max + 1), dtype=np.complex128)
         start[..., t_max] = rng.normal(size=batch + (2,)) + 1j * rng.normal(size=batch + (2,))
-        walk = core._walk_steps(start, random_unitaries(rng, (t_max,) + batch), 0)
+        return start, random_unitaries(rng, (t_max,) + batch)
+
+    @staticmethod
+    def windows(calls: list, start: np.ndarray, coins: np.ndarray) -> list[tuple[int, int]]:
+        """The window [lo, hi) of each step of a walk from the origin to both edges.
+
+        ``calls`` is a ``matmul_spy`` list, emptied first.  Every window must
+        start on a multiple of 4, be whole blocks of 4 indices long and end
+        at or before `size`, the whole blocks over the even half lattice.
+        The last one must end on the block of index t_max - 1, the last step
+        reads, which is `size` when t_max is 3 mod 4.
+        """
+        calls.clear()
+        walk = core._walk_steps(start, coins, 0)
         _, source = next(walk)
         windows = []
         for _, landed in walk:
@@ -729,41 +720,39 @@ class TestLightConeCrop:
             lo = (address - source.ctypes.data) // 16
             windows.append((lo, lo + columns))
             source = landed
-        assert len(calls) == len(windows) == t_max
+        t_max = start.shape[-1] // 2
+        assert len(calls) == len(windows) == len(coins) == t_max
         size = -(-(t_max + 1) // 4) * 4
         assert all(lo % 4 == hi % 4 == 0 and 0 <= lo < hi <= size for lo, hi in windows)
-        assert windows[-1][1] == size
-        # window k is that of step k + 1
-        return [k + 1 for k in range(1, t_max) if windows[k] != windows[k - 1]]
-
-    @staticmethod
-    def check_renewals(changed: list[int], t_max: int, periods: tuple[int, ...]) -> None:
-        """Every change falls on a renewal step, one after a multiple of a period.
-
-        At periods of 16 steps or more the light cone grows by more than a
-        block of 4 indices between renewals, so every renewal changes the
-        window.
-        """
-        renewals = [k for k in range(2, t_max + 1) if any((k - 1) % p == 0 for p in periods)]
-        assert changed and set(changed) <= set(renewals), changed
-        if min(periods) >= 16:
-            assert changed == renewals
+        assert windows[-1][1] == -(-t_max // 4) * 4
+        return windows
 
     @pytest.mark.parametrize("period", FLUSH_PERIODS)
     @pytest.mark.parametrize("t_max", [135, 139])  # widths 271 and 279: 3 mod 4
-    def test_windows_change_only_after_a_flush(self, monkeypatch, period, t_max):
-        # a single walk, with no batch axis or in a batch of one
+    def test_a_batch_also_changes_its_window_every_16_steps(self, monkeypatch, period, t_max):
+        # after each multiple of _RENEW_PERIOD and no other step, by one rule
+        # whatever the batch: no batch axes, one walk, two, 2 x 3.  The light
+        # cone grows by 2 blocks of 4 indices between renewals, so every
+        # renewal changes the window.
         monkeypatch.setattr(core, "_FLUSH_PERIOD", period)
         calls = matmul_spy(monkeypatch)
-        for batch in [(), (1,)]:
-            self.check_renewals(self.window_changes(calls, t_max, batch), t_max, (period,))
+        renewals = list(range(core._RENEW_PERIOD + 1, t_max + 1, core._RENEW_PERIOD))
+        for batch in [(), (1,), (2,), (2, 3)]:
+            windows = self.windows(calls, *self.from_origin(t_max, batch))
+            # windows[k] is that of step k + 1
+            changed = [k + 1 for k in range(1, t_max) if windows[k] != windows[k - 1]]
+            assert changed == renewals, batch
 
-    @pytest.mark.parametrize("period", FLUSH_PERIODS)
-    @pytest.mark.parametrize("t_max", [135, 139])
-    def test_a_batch_also_changes_its_window_every_16_steps(self, monkeypatch, period, t_max):
-        monkeypatch.setattr(core, "_FLUSH_PERIOD", period)
-        changed = self.window_changes(matmul_spy(monkeypatch), t_max, (2,))
-        self.check_renewals(changed, t_max, (period, 16))
+    def test_flush_period_is_a_multiple_of_the_renewal_period(self):
+        # so a renewal follows every flush at once and crops the window to
+        # the support the flush found
+        assert core._FLUSH_PERIOD % core._RENEW_PERIOD == 0
+
+    def test_a_walk_alone_and_in_a_batch_multiply_the_same_columns(self, monkeypatch):
+        start, coins = self.from_origin(200, (2,))
+        calls = matmul_spy(monkeypatch)
+        alone = self.windows(calls, start[0], coins[:, 0])
+        assert self.windows(calls, start, coins) == alone
 
     def test_every_state_of_a_narrow_band_after_earlier_steps(self):
         rng = np.random.default_rng(3)
@@ -956,23 +945,9 @@ class TestZgemmColumnBits:
     name, not only through a pinned digest.
     """
 
-    @pytest.mark.parametrize("batch", [(), (5,)])
+    @pytest.mark.parametrize("batch", BATCHES)
     def test_whole_block_windows_keep_the_full_products_column_bits(self, batch):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            width = int(rng.integers(9, 300))
-            coin = random_unitaries(rng, batch)
-            amps = random_amplitudes(rng, batch + (2, width))
-            full = coin @ amps
-            blocks = width - width % 4
-            n = 4 * int(rng.integers(1, blocks // 4 + 1))
-            j0 = int(rng.integers(0, blocks - n + 1))
-            # the window's copy sits at any offset of a zero-padded buffer
-            pad = int(rng.integers(0, 4))
-            buffer = np.zeros(batch + (2, n + 4), dtype=np.complex128)
-            buffer[..., pad : pad + n] = amps[..., j0 : j0 + n]
-            window = coin @ buffer[..., pad : pad + n]
-            assert same_bits(window, full[..., j0 : j0 + n].copy()), (width, j0, n)
+        column_bits.check_zgemm_column_bits(batch)
 
 
 class TestRealCoinColumnBits:
@@ -989,28 +964,9 @@ class TestRealCoinColumnBits:
     multiplies such widths.
     """
 
-    @pytest.mark.parametrize("batch", [(), (5,)])
+    @pytest.mark.parametrize("batch", BATCHES)
     def test_float64_view_gives_the_complex_products_bytes(self, batch):
-        rng = np.random.default_rng(12)
-        tiny = np.finfo(np.float64).tiny
-        for _ in range(300):
-            n = 4 * int(rng.integers(1, 80))
-            coin = rng.normal(size=batch + (2, 2)) + 0j
-            coin.imag = np.where(rng.random(coin.shape) < 0.5, 0.0, -0.0)
-            coin.real[rng.random(coin.shape) < 0.1] = -0.0
-            # +0, -0 and subnormal parts among the amplitudes' parts
-            parts = rng.normal(size=batch + (2, 2 * n))
-            pick = rng.random(parts.shape)
-            parts[pick < 0.3] = rng.normal(size=parts.shape)[pick < 0.3] * tiny / 4
-            parts[(pick >= 0.3) & (pick < 0.4)] = 0.0
-            parts[(pick >= 0.4) & (pick < 0.5)] = -0.0
-            # the window sits at any offset of a zero-padded buffer
-            pad = int(rng.integers(0, 4))
-            buffer = np.zeros(batch + (2, n + 4), dtype=np.complex128)
-            window = buffer[..., pad : pad + n]
-            window.view(np.float64)[...] = parts
-            real = np.matmul(np.ascontiguousarray(coin.real), window.view(np.float64))
-            assert real.tobytes() == (coin @ window).tobytes(), (n, pad)
+        column_bits.check_real_coin_column_bits(batch)
 
 
 #: ``OPENBLAS_CORETYPE`` values the column-bit facts are checked under, with the
@@ -1026,27 +982,21 @@ OTHER_BLAS_CORES = {
 class TestRealCoinColumnBitsOnOtherKernels:
     """``TestRealCoinColumnBits`` and ``TestZgemmColumnBits`` on three other OpenBLAS kernels.
 
-    Both classes run in one fresh process per kernel.  The real-coin path
-    adds no dependence on which kernel the CPU gets: the pinned digests
-    already depend on zgemm's, and every window of the step kernel relies
-    on zgemm's column bits.  A numpy whose BLAS does not report the
+    Both classes' checks run as one plain ``python tests/column_bits.py``
+    child per kernel, with the kernel set in its environment.  The real-coin
+    path adds no dependence on which kernel the CPU gets: the pinned
+    digests already depend on zgemm's, and every window of the step kernel
+    relies on zgemm's column bits.  A numpy whose BLAS does not report the
     requested core skips, with the reason.
     """
 
     @pytest.mark.parametrize("coretype", OTHER_BLAS_CORES)
     def test_real_coin_column_bits(self, coretype):
-        paths = [str(Path(core.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, paths)),
-            "OPENBLAS_CORETYPE": coretype,
-            "OPENBLAS_VERBOSE": "2",
-        }
-        # -s: OpenBLAS reports its core on stderr as numpy loads it
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_VERBOSE": "2"}
+        # OpenBLAS reports its core on stderr as numpy loads it
         result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
-             f"{__file__}::TestRealCoinColumnBits", f"{__file__}::TestZgemmColumnBits"],
-            capture_output=True, text=True, env=env, check=False, cwd=Path(__file__).parent,
+            [sys.executable, column_bits.__file__],
+            capture_output=True, text=True, env=env, check=False,
         )
         cores = [line.split(":", 1)[1].strip() for line in result.stderr.splitlines()
                  if line.startswith("Core:")]
