@@ -727,21 +727,34 @@ class TestLightConeCrop:
         assert windows[-1][1] == -(-t_max // 4) * 4
         return windows
 
-    @pytest.mark.parametrize("period", FLUSH_PERIODS)
-    @pytest.mark.parametrize("t_max", [135, 139])  # widths 271 and 279: 3 mod 4
-    def test_a_batch_also_changes_its_window_every_16_steps(self, monkeypatch, period, t_max):
-        # after each multiple of _RENEW_PERIOD and no other step, by one rule
-        # whatever the batch: no batch axes, one walk, two, 2 x 3.  The light
-        # cone grows by 2 blocks of 4 indices between renewals, so every
-        # renewal changes the window.
-        monkeypatch.setattr(core, "_FLUSH_PERIOD", period)
-        calls = matmul_spy(monkeypatch)
+    def check_renewals(self, calls: list, t_max: int, batches: list[tuple[int, ...]]) -> None:
+        """Each walk's window changes after each multiple of _RENEW_PERIOD and no other step.
+
+        One rule whatever the batch.  The light cone grows by 2 blocks of 4
+        indices between renewals, so every renewal changes the window.
+        """
         renewals = list(range(core._RENEW_PERIOD + 1, t_max + 1, core._RENEW_PERIOD))
-        for batch in [(), (1,), (2,), (2, 3)]:
+        for batch in batches:
             windows = self.windows(calls, *self.from_origin(t_max, batch))
             # windows[k] is that of step k + 1
             changed = [k + 1 for k in range(1, t_max) if windows[k] != windows[k - 1]]
             assert changed == renewals, batch
+
+    @pytest.mark.parametrize("period", FLUSH_PERIODS)
+    @pytest.mark.parametrize("t_max", [135, 139])  # widths 271 and 279: 3 mod 4
+    def test_windows_change_only_after_a_flush(self, monkeypatch, period, t_max):
+        # a lone walk, with no batch axis or in a batch of one: a flush
+        # changes its window only where it falls on a renewal step, as for
+        # a batch
+        monkeypatch.setattr(core, "_FLUSH_PERIOD", period)
+        self.check_renewals(matmul_spy(monkeypatch), t_max, [(), (1,)])
+
+    @pytest.mark.parametrize("period", FLUSH_PERIODS)
+    @pytest.mark.parametrize("t_max", [135, 139])
+    def test_a_batch_also_changes_its_window_every_16_steps(self, monkeypatch, period, t_max):
+        # two walks and 2 x 3, by the lone walk's rule
+        monkeypatch.setattr(core, "_FLUSH_PERIOD", period)
+        self.check_renewals(matmul_spy(monkeypatch), t_max, [(2,), (2, 3)])
 
     def test_flush_period_is_a_multiple_of_the_renewal_period(self):
         # so a renewal follows every flush at once and crops the window to
